@@ -1,8 +1,16 @@
 """Command-line driver: Hecke polynomials, verification suites, convolution.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 resource bound exceeded.  All reports go to standard output as JSON
-(sorted keys) or readable text; diagnostics go to standard error.
+Exit codes, chosen by exception type:
+
+* 0 -- success;
+* 1 -- verification failure, including a suite that ran no checks;
+* 2 -- usage error: bad group, cocharacter, type, size n, prime p or
+  curve (the library's ValueError subclasses);
+* 3 -- resource bound exceeded: coset enumeration or point counting;
+* 4 -- internal error: any other exception, reported on one line.
+
+All reports go to standard output as JSON (sorted keys) or readable
+text; diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BOUND = 3
+EXIT_INTERNAL = 4
 
 ALL_GROUPS = ("GL(2)", "GL(3)", "GL(4)", "GSp(4)", "GSp(6)", "GSO(8)",
               "GSpin(7)")
@@ -239,6 +248,7 @@ SUITES = {
 
 def cmd_verify(args):
     ok, checks = SUITES[args.suite](args)
+    ok = ok and bool(checks)
     report = {
         "suite": args.suite,
         "passed": ok,
@@ -297,16 +307,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EnumerationBoundError as exc:
+    except (EnumerationBoundError, elliptic.CountBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
-    except elliptic.CurveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BOUND if "bound" in str(exc) else EXIT_USAGE
-    except (rootdata.RootDatumError, satake.SatakeError,
-            padic.CosetError, corresp.CorrespError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -18,9 +18,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from .corresp import FinitePointSet
+from .intmat import is_prime
 from .laurent import QuadExt
 from .rootdata import build_group
 from .satake import SatakeParameterSymmetric, hecke_polynomial, specialize
@@ -32,13 +32,8 @@ class CurveError(ValueError):
     pass
 
 
-def is_prime(n):
-    if n < 2:
-        return False
-    for d in range(2, isqrt(n) + 1):
-        if n % d == 0:
-            return False
-    return True
+class CountBoundError(CurveError):
+    """Exhaustive counting over F_{p^k} would exceed COUNT_BOUND elements."""
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +232,8 @@ class FrobeniusData:
 
 def _check_bound(p, k):
     if p ** k > COUNT_BOUND:
-        raise CurveError(f"p**k = {p ** k} exceeds the counting bound "
-                         f"{COUNT_BOUND}")
+        raise CountBoundError(f"p**k = {p ** k} exceeds the counting bound "
+                              f"{COUNT_BOUND}")
 
 
 def _square_table(field):
@@ -268,7 +263,7 @@ def frobenius_data(curve: EllipticCurve, k_max=2) -> FrobeniusData:
     counts = tuple(count_points(curve, k) for k in range(1, k_max + 1))
     a_p = curve.p + 1 - counts[0]
     if a_p * a_p > 4 * curve.p:
-        raise CurveError("Hasse bound violated; counting bug")
+        raise RuntimeError("Hasse bound violated; counting bug")
     return FrobeniusData(a_p, counts, a_p % curve.p != 0)
 
 

@@ -10,11 +10,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, isqrt, lcm
 
 
 class NormalFormError(ValueError):
     pass
+
+
+def is_prime(n):
+    if n < 2:
+        return False
+    return all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def as_matrix(rows):
@@ -65,6 +71,8 @@ def det(m):
 
 
 def p_valuation(x, p):
+    if p < 2:
+        raise NormalFormError(f"valuation at p={p} is undefined")
     if x == 0:
         raise NormalFormError("valuation of zero")
     v = 0
@@ -78,12 +86,8 @@ def _check_p_power_det(m, p):
     d = det(m)
     if d == 0:
         raise NormalFormError("singular matrix")
-    ad = abs(d)
-    k = 0
-    while ad % p == 0:
-        ad //= p
-        k += 1
-    if ad != 1:
+    k = p_valuation(d, p)
+    if abs(d) != p ** k:
         raise NormalFormError(
             f"determinant {d} has a prime factor other than {p}"
         )
@@ -177,15 +181,14 @@ def snf_type(m, p):
 
 
 def inverse_rational(m):
-    """Exact inverse with Fraction entries."""
+    """Exact inverse with Fraction entries, by Gauss-Jordan elimination."""
     n = len(m)
-    d = det(m)
-    if d == 0:
-        raise NormalFormError("singular matrix")
     a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
          for i in range(n)]
     for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise NormalFormError("singular matrix")
         a[col], a[piv] = a[piv], a[col]
         pv = a[col][col]
         a[col] = [x / pv for x in a[col]]
@@ -199,82 +202,26 @@ def inverse_rational(m):
 def inverse_integer(m):
     """Inverse of a unimodular integer matrix, as an integer matrix."""
     inv = inverse_rational(m)
-    out = []
-    for row in inv:
-        r = []
-        for x in row:
-            if x.denominator != 1:
-                raise NormalFormError("matrix is not unimodular")
-            r.append(int(x))
-        out.append(tuple(r))
-    return tuple(out)
-
-
-def is_p_integral_unit(m_frac, p):
-    """True if a Fraction matrix has p-integral entries and p-unit determinant."""
-    for row in m_frac:
-        for x in row:
-            if x.denominator % p == 0:
-                return False
-    d = _frac_det(m_frac)
-    if d == 0:
-        return False
-    return d.numerator % p != 0 and d.denominator % p != 0
-
-
-def _frac_det(m):
-    n = len(m)
-    a = [list(r) for r in m]
-    sign = 1
-    out = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        out *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return sign * out
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise NormalFormError("matrix is not unimodular")
+    return tuple(tuple(int(x) for x in row) for row in inv)
 
 
 def coset_equal(g1, g2, p):
-    """True iff g1*GL_n(Z_p) == g2*GL_n(Z_p) for matrices over Z[1/p].
+    """True iff g1*GL_n(Z_p) == g2*GL_n(Z_p) for invertible rational matrices.
 
-    Inputs may have Fraction entries (p-power denominators).
+    Entries may be ints or Fractions.  Both matrices are scaled by one
+    common denominator s, which moves neither coset, to integer matrices
+    a = s*g1 and b = s*g2.  Then a**-1 * b lies in GL_n(Z_p) iff its
+    entries are p-integral and v_p(det a) == v_p(det b).
     """
-    n = len(g1)
-    g1 = tuple(tuple(Fraction(x) for x in r) for r in g1)
-    g2 = tuple(tuple(Fraction(x) for x in r) for r in g2)
-    if _frac_det(g1) == 0 or _frac_det(g2) == 0:
+    g1, g2 = ([[Fraction(x) for x in r] for r in g] for g in (g1, g2))
+    s = lcm(*(x.denominator for g in (g1, g2) for r in g for x in r))
+    a, b = (as_matrix([s * x for x in r] for r in g) for g in (g1, g2))
+    da, db = det(a), det(b)
+    if da == 0 or db == 0:
         raise NormalFormError("singular input to coset_equal")
-    inv = _frac_inverse(g1)
-    prod = tuple(
-        tuple(sum(inv[i][t] * g2[t][j] for t in range(n)) for j in range(n))
-        for i in range(n)
-    )
-    return is_p_integral_unit(prod, p)
-
-
-def _frac_inverse(m):
-    n = len(m)
-    a = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(m)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(r[n:]) for r in a)
+    if p_valuation(da, p) != p_valuation(db, p):
+        return False
+    return all(x.denominator % p for row in mat_mul(inverse_rational(a), b)
+               for x in row)

@@ -18,18 +18,21 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product as iproduct
 
 from .intmat import (
     NormalFormError,
     as_matrix,
     hnf_padic,
+    is_prime,
     mat_mul,
     p_valuation,
     snf_type,
 )
 from .intmat import coset_equal as _coset_equal
 from .laurent import Laurent
+from .rootdata import build_group, simple_reflections
 from .satake import GroupAlgebraElement, is_weyl_invariant
 
 DEFAULT_ENUM_BOUND = 10 ** 7
@@ -54,6 +57,13 @@ def _enum_bound():
         raise CosetError(f"bad {ENUM_BOUND_ENV} value {raw!r}")
 
 
+def _check_size_prime(n, p):
+    if n < 1:
+        raise CosetError(f"matrix size n={n} must be >= 1")
+    if not is_prime(p):
+        raise CosetError(f"p={p} is not prime")
+
+
 @dataclass(frozen=True)
 class PCoset:
     """Canonical left coset p**shift * rep * GL_n(Z_p).
@@ -65,6 +75,9 @@ class PCoset:
     p: int
     rep: tuple
     shift: int = 0
+
+    def __post_init__(self):
+        _check_size_prime(self.n, self.p)
 
     @classmethod
     def from_matrix(cls, m, p, shift=0):
@@ -107,6 +120,7 @@ class CosetSum:
     def __init__(self, n, p, terms=None):
         self.n = int(n)
         self.p = int(p)
+        _check_size_prime(self.n, self.p)
         d = {}
         if terms:
             for g, c in terms.items():
@@ -155,6 +169,7 @@ class DoubleCosetSum:
     def __init__(self, n, p, terms=None):
         self.n = int(n)
         self.p = int(p)
+        _check_size_prime(self.n, self.p)
         d = {}
         if terms:
             for lam, c in terms.items():
@@ -353,6 +368,11 @@ def reduce_mod_v2(x: GroupAlgebraElement, p) -> GroupAlgebraElement:
     return GroupAlgebraElement(x.rank, out)
 
 
+@cache
+def _gl_reflections(n):
+    return simple_reflections(build_group(f"GL({n})"))
+
+
 def satake_numeric(h: DoubleCosetSum) -> GroupAlgebraElement:
     """Numeric Satake transform: expand, read off the torus, twist by v-powers.
 
@@ -369,9 +389,7 @@ def satake_numeric(h: DoubleCosetSum) -> GroupAlgebraElement:
         e = sum(d * x for d, x in zip(delta, chi))
         out[chi] = out.get(chi, Laurent.zero()) + Laurent.v_power(e, c)
     result = reduce_mod_v2(GroupAlgebraElement(h.n, out), h.p)
-    from .rootdata import build_group, weyl_group
-    w = weyl_group(build_group(f"GL({h.n})"))
-    if not is_weyl_invariant(w, result):
+    if not is_weyl_invariant(_gl_reflections(h.n), result):
         raise CosetError("numeric Satake image is not Weyl invariant; "
                          "convention inconsistency")
     return result

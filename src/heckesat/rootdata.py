@@ -2,8 +2,9 @@
 
 A root datum is stored in a single lattice pair (X*, X_*) = (Z^rank, Z^rank)
 with the standard dot pairing; roots live on the X* side, coroots on the
-X_* side, in matching order.  Weyl groups are explicit lists of integer
-matrices acting on the cocharacter lattice.
+X_* side, in matching order.  The Weyl group acts on the cocharacter
+lattice by integer matrices; orbits and invariance need only the simple
+reflections, and the full closure is built only where |W| is wanted.
 
 Supported constructors and the lattice bases they use:
 
@@ -29,9 +30,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intmat import mat_vec
+from .intmat import identity, mat_mul, mat_vec
 
 Vector = tuple
+
+MAX_WEYL_ELEMENTS = 10 ** 6
 
 
 class RootDatumError(ValueError):
@@ -153,7 +156,6 @@ def validate(rd: RootDatum):
             if mat_vec(s_costar, bv) not in corootset:
                 raise RootDatumError("simple reflection does not permute coroots")
     for i in range(len(rd.roots)):
-        rd._simple_expansion(rd.roots[i])  # raises if not in the span
         coeffs = rd._simple_expansion(rd.roots[i])
         if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
             raise RootDatumError("root with mixed-sign simple expansion")
@@ -357,15 +359,19 @@ def dual(rd: RootDatum) -> RootDatum:
 # ---------------------------------------------------------------------------
 # Weyl groups and cocharacter combinatorics
 
-def weyl_group(rd: RootDatum, max_elements=10 ** 6) -> WeylGroup:
-    """Closure of the simple reflections acting on X_*."""
-    gens = tuple(
+def simple_reflections(rd: RootDatum):
+    """Simple-reflection matrices acting on X_*, in simple_indices order."""
+    return tuple(
         _reflection_matrix_costar(rd.roots[i], rd.coroots[i], rd.rank)
         for i in rd.simple_indices
     )
-    seen = {identity_matrix(rd.rank)}
-    frontier = [identity_matrix(rd.rank)]
-    from .intmat import mat_mul
+
+
+def weyl_group(rd: RootDatum) -> WeylGroup:
+    """Closure of the simple reflections acting on X_*."""
+    gens = simple_reflections(rd)
+    seen = {identity(rd.rank)}
+    frontier = [identity(rd.rank)]
     while frontier:
         nxt = []
         for w in frontier:
@@ -374,16 +380,12 @@ def weyl_group(rd: RootDatum, max_elements=10 ** 6) -> WeylGroup:
                 if wg not in seen:
                     seen.add(wg)
                     nxt.append(wg)
-                    if len(seen) > max_elements:
+                    if len(seen) > MAX_WEYL_ELEMENTS:
                         raise WeylBoundError(
-                            f"Weyl closure exceeds {max_elements} elements"
+                            f"Weyl closure exceeds {MAX_WEYL_ELEMENTS} elements"
                         )
         frontier = nxt
     return WeylGroup(rd.rank, tuple(sorted(seen)), gens)
-
-
-def identity_matrix(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def weyl_order_formula(rd: RootDatum):
@@ -429,15 +431,19 @@ def dominant_representative(rd: RootDatum, mu):
     return mu
 
 
-def orbit(w: WeylGroup, mu):
-    """The full Weyl orbit of a cocharacter, as a set of tuples."""
+def orbit(gens, mu):
+    """Orbit of mu under the group generated by the matrices gens, as a set.
+
+    Pass ``simple_reflections(rd)`` for the full Weyl orbit of a
+    cocharacter; no group element beyond the generators is formed.
+    """
     mu = tuple(mu)
     seen = {mu}
     frontier = [mu]
     while frontier:
         nxt = []
         for x in frontier:
-            for g in w.generators:
+            for g in gens:
                 y = mat_vec(g, x)
                 if y not in seen:
                     seen.add(y)

@@ -28,11 +28,11 @@ from .laurent import Laurent, QuadExt
 from .rootdata import (
     ParabolicData,
     RootDatum,
-    WeylGroup,
+    _reflection_matrix_costar,
     dominant_representative,
     is_minuscule,
     orbit,
-    weyl_group,
+    simple_reflections,
 )
 
 
@@ -143,9 +143,13 @@ def weyl_act(w, x: GroupAlgebraElement) -> GroupAlgebraElement:
     return GroupAlgebraElement(x.rank, d)
 
 
-def is_weyl_invariant(w: WeylGroup, x: GroupAlgebraElement) -> bool:
-    """True iff every generator fixes x (hence the whole group does)."""
-    return all(weyl_act(g, x) == x for g in w.generators)
+def is_weyl_invariant(gens, x: GroupAlgebraElement) -> bool:
+    """True iff every matrix in gens fixes x.
+
+    Then the whole group they generate fixes x, so passing
+    ``simple_reflections(rd)`` tests invariance under the Weyl group.
+    """
+    return all(weyl_act(g, x) == x for g in gens)
 
 
 @dataclass(frozen=True)
@@ -163,8 +167,8 @@ def hecke_polynomial(rd: RootDatum, mu) -> HeckePolynomialSatake:
     if not is_minuscule(rd, mu):
         raise SatakeError(f"{mu} is not minuscule for {rd.name}")
     mu = dominant_representative(rd, mu)
-    w = weyl_group(rd)
-    orb = sorted(orbit(w, mu))
+    gens = simple_reflections(rd)
+    orb = sorted(orbit(gens, mu))
     d = rd.pairing(rd.delta(), mu)
     vd = Laurent.v_power(d)
     # coeffs[k] = coefficient of t**k, built by repeated multiplication
@@ -177,16 +181,16 @@ def hecke_polynomial(rd: RootDatum, mu) -> HeckePolynomialSatake:
             new[k] = new[k] - root * c
         coeffs = new
     H = HeckePolynomialSatake(mu, d, len(orb), tuple(coeffs), rd.rank)
-    _validate_polynomial(rd, w, H)
+    _validate_polynomial(rd, gens, H)
     return H
 
 
-def _validate_polynomial(rd, w, H):
+def _validate_polynomial(rd, gens, H):
     top = H.coefficients[-1]
     if top != GroupAlgebraElement.one(rd.rank):
         raise SatakeError("Hecke polynomial is not monic")
     for c in H.coefficients:
-        if not is_weyl_invariant(w, c):
+        if not is_weyl_invariant(gens, c):
             raise SatakeError("non-Weyl-invariant Hecke coefficient")
         if not c.is_integral():
             raise SatakeError(
@@ -217,21 +221,19 @@ def restrict_to_levi(H: HeckePolynomialSatake, rd: RootDatum,
                      levi: ParabolicData) -> HeckePolynomialSatake:
     """Inclusion of full-Weyl invariants into Levi-Weyl invariants.
 
-    The coefficient data is unchanged; the operation re-verifies that
-    every coefficient is invariant under the Weyl group generated by the
-    Levi-root reflections and errors out otherwise.
+    The coefficient data is unchanged, so H itself is returned after
+    re-verifying that every coefficient is invariant under the reflections
+    in the Levi roots; errors out otherwise.
     """
-    from .rootdata import _reflection_matrix_costar
     gens = tuple(
         _reflection_matrix_costar(rd.roots[i], rd.coroots[i], rd.rank)
         for i in levi.levi_root_indices
     )
-    wm = WeylGroup(rd.rank, (), gens)
     for c in H.coefficients:
-        if not is_weyl_invariant(wm, c):
+        if not is_weyl_invariant(gens, c):
             raise SatakeError("coefficient not invariant under the Levi Weyl "
                               "group; internal inconsistency")
-    return HeckePolynomialSatake(H.mu, H.d, H.degree, H.coefficients, H.rank)
+    return H
 
 
 # ---------------------------------------------------------------------------

@@ -86,3 +86,43 @@ def test_json_output_sorted(capsys):
     _, out, _ = run(capsys, "--format", "json", "hecke-poly",
                     "--group", "GL2", "--mu", "1,0")
     assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
+def test_bad_size_or_prime_is_usage_error(capsys):
+    for argv in (
+        ["convolve", "--n", "2", "--p", "4", "--types", "1,0", "1,0"],
+        ["convolve", "--n", "2", "--p", "0", "--types", "1,0", "1,0"],
+        ["verify", "satake-hom", "--n", "0"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_suite_with_zero_checks_fails(capsys):
+    for argv in (["verify", "satake-hom", "--pairs", "-3"],
+                 ["verify", "frobdemo", "--p", "5", "--curves", "0"]):
+        code, out, _ = run(capsys, "--format", "json", *argv)
+        assert code == 1, argv
+        assert json.loads(out) == {"checks": {}, "passed": False,
+                                   "suite": argv[1]}
+
+
+def test_count_bound_exit_code(capsys, monkeypatch):
+    from heckesat import elliptic
+    monkeypatch.setattr(elliptic, "COUNT_BOUND", 10)
+    code, _, err = run(capsys, "verify", "frobdemo", "--p", "5",
+                       "--curves", "1")
+    assert code == 3 and "counting bound" in err
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    from heckesat import satake
+
+    def broken(rd, mu):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(satake, "hecke_polynomial", broken)
+    code, out, err = run(capsys, "hecke-poly", "--group", "GL2", "--mu", "1,0")
+    assert code == 4 and out == ""
+    assert err == "internal error: ZeroDivisionError: boom\n"

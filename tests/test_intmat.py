@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from heckesat.intmat import (
     NormalFormError,
@@ -9,6 +11,8 @@ from heckesat.intmat import (
     hnf_padic,
     identity,
     inverse_integer,
+    inverse_rational,
+    is_prime,
     mat_mul,
     p_valuation,
     snf_type,
@@ -92,3 +96,85 @@ def test_inverse_integer():
     assert mat_mul(u, inverse_integer(u)) == identity(2)
     with pytest.raises(NormalFormError):
         inverse_integer(((2, 0), (0, 1)))
+
+
+def test_inverse_rational():
+    m = ((2, 1), (0, 4))
+    assert inverse_rational(m) == ((Fraction(1, 2), Fraction(-1, 8)),
+                                   (0, Fraction(1, 4)))
+    with pytest.raises(NormalFormError):
+        inverse_rational(((1, 2), (2, 4)))
+
+
+def test_is_prime():
+    assert [n for n in range(-2, 30) if is_prime(n)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_p_valuation_rejects_non_primes_below_two():
+    for p in (1, 0, -2):
+        with pytest.raises(NormalFormError):
+            p_valuation(8, p)
+
+
+def test_coset_equal_accepts_p_unit_determinants():
+    assert coset_equal(((3, 0), (0, 1)), ((3, 0), (0, 1)), 2)
+    assert coset_equal(((3, 0), (0, 1)), identity(2), 2)
+    assert not coset_equal(((3, 0), (0, 1)), identity(2), 3)
+    half = Fraction(1, 2)
+    assert coset_equal(((half, 0), (0, 1)), ((half, half), (0, 1)), 2)
+    assert not coset_equal(((half, 0), (0, 1)), identity(2), 2)
+    with pytest.raises(NormalFormError):
+        coset_equal(((1, 1), (1, 1)), identity(2), 2)
+
+
+@st.composite
+def unimodular(draw, n):
+    """Row operations and a sign change applied to I: determinant +-1."""
+    u = [list(r) for r in identity(n)]
+    for _ in range(draw(st.integers(0, 4)) if n > 1 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.integers(-3, 3))
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    if draw(st.booleans()):
+        u[0] = [-x for x in u[0]]
+    return tuple(map(tuple, u))
+
+
+@st.composite
+def p_power_det_matrix(draw, n, p):
+    """Upper triangular with p-power diagonal, times a unimodular matrix."""
+    t = tuple(tuple(p ** draw(st.integers(0, 2)) if i == j
+                    else draw(st.integers(-p * p, p * p)) if i < j else 0
+                    for j in range(n)) for i in range(n))
+    return mat_mul(t, draw(unimodular(n)))
+
+
+@st.composite
+def coset_pair(draw):
+    n, p = draw(st.integers(1, 3)), draw(st.sampled_from((2, 3, 5)))
+    g1 = draw(p_power_det_matrix(n, p))
+    if draw(st.booleans()):
+        g2 = mat_mul(g1, draw(unimodular(n)))
+    else:
+        g2 = draw(p_power_det_matrix(n, p))
+    return g1, g2, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(coset_pair())
+def test_coset_equal_agrees_with_hnf(case):
+    g1, g2, p = case
+    assert coset_equal(g1, g2, p) == (hnf_padic(g1, p) == hnf_padic(g2, p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_coset_equal_right_p_unit_invariance(data):
+    n = data.draw(st.integers(1, 3))
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    g = data.draw(p_power_det_matrix(n, p))
+    u = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=n,
+                                    max_size=n), min_size=n, max_size=n))
+    assume(det(u) % p != 0)
+    assert coset_equal(g, mat_mul(g, u), p)

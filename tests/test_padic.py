@@ -185,3 +185,15 @@ def test_coset_equal_wrapper():
 def test_double_coset_json_roundtrip():
     h = DoubleCosetSum(2, 3, {(2, 0): Fraction(1, 2), (1, 1): 3})
     assert pd.double_coset_sum_from_json(pd.double_coset_sum_to_json(h)) == h
+
+
+@pytest.mark.parametrize("n,p", [(2, 4), (2, 1), (2, 0), (2, -3), (0, 2)])
+def test_constructors_reject_bad_size_or_prime(n, p):
+    with pytest.raises(CosetError):
+        PCoset(n, p, ((1, 0), (0, 1)))
+    with pytest.raises(CosetError):
+        CosetSum(n, p)
+    with pytest.raises(CosetError):
+        DoubleCosetSum(n, p)
+    with pytest.raises(CosetError):
+        DoubleCosetSum.basis((1,) + (0,) * max(n - 1, 0), n, p)
