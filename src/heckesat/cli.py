@@ -6,8 +6,10 @@ Exit codes, chosen by exception type:
 * 1 -- verification failure, including a suite that ran no checks;
 * 2 -- usage error: bad group, cocharacter, type, size n, prime p or
   curve (the library's ValueError subclasses);
-* 3 -- resource bound exceeded: coset enumeration or point counting;
-* 4 -- internal error: any other exception, reported on one line.
+* 3 -- resource bound exceeded: coset enumeration, or a finite field
+  above the counting bound;
+* 4 -- internal error: a failed internal-consistency check (a
+  RuntimeError) or any other exception, reported on one line.
 
 All reports go to standard output as JSON (sorted keys) or readable
 text; diagnostics go to standard error.

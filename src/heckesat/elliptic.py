@@ -1,9 +1,11 @@
 """Elliptic curves over small finite fields and the trace of Frobenius.
 
-Everything is exhaustive and exact: point counts come from a full
-x-sweep against a precomputed square table, the group law is the
-chord-tangent formula, and the Frobenius endomorphism is the coordinate
-p-power map.  The headline checks are
+Everything is exhaustive and exact.  F_{p^k} is a table-driven field
+(``FieldExt``): elements are ints, and multiplication, inversion, powers,
+Frobenius and addition are lookups in log/antilog/Zech tables built once
+per (p, k).  Point counts come from a full x-sweep against a square
+table, the group law is the chord-tangent formula, and the Frobenius
+endomorphism is the coordinate p-power map.  The headline checks are
 
 * count consistency: N_k = p^k + 1 - s_k with s_1 = a_p,
   s_k = a_p s_{k-1} - p s_{k-2};
@@ -16,8 +18,10 @@ p-power map.  The headline checks are
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .corresp import FinitePointSet
 from .intmat import is_prime
@@ -33,19 +37,78 @@ class CurveError(ValueError):
 
 
 class CountBoundError(CurveError):
-    """Exhaustive counting over F_{p^k} would exceed COUNT_BOUND elements."""
+    """A field F_{p^k} would exceed COUNT_BOUND elements."""
+
+
+def _check_bound(p, k):
+    if p ** k > COUNT_BOUND:
+        raise CountBoundError(f"p**k = {p ** k} exceeds the counting bound "
+                              f"{COUNT_BOUND}")
 
 
 # ---------------------------------------------------------------------------
 # finite field extensions F_{p^k}
 
-class FieldExt:
-    """F_{p^k} as F_p[x] modulo a fixed irreducible monic polynomial.
+def _prime_factors(n):
+    out, r = [], 2
+    while r * r <= n:
+        if n % r == 0:
+            out.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    return out + [n] if n > 1 else out
 
-    Elements are coefficient tuples (c_0, ..., c_{k-1}).  The defining
-    polynomial x^k + a_{k-1} x^{k-1} + ... + a_0 is the first irreducible
-    one in lexicographic order on (a_{k-1}, ..., a_1, a_0), so element
-    orderings are reproducible.
+
+def _x_power(e, modulus, p):
+    """x**e in F_p[x] / (x^k + modulus), coefficient lists low first."""
+    k = len(modulus)
+    out = [1] + [0] * (k - 1)
+    base = [-modulus[0] % p] if k == 1 else [0, 1] + [0] * (k - 2)
+    while e:
+        if e & 1:
+            out = _mul_mod(out, base, modulus, p)
+        base = _mul_mod(base, base, modulus, p)
+        e >>= 1
+    return out
+
+
+def _mul_mod(a, b, modulus, p):
+    k = len(modulus)
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    # reduce with x^k = -(a_0 + ... + a_{k-1} x^{k-1}), top degree first
+    for i in range(2 * k - 2, k - 1, -1):
+        c = prod[i] % p
+        if c:
+            for j, m in enumerate(modulus):
+                prod[i - k + j] -= c * m
+    return [c % p for c in prod[:k]]
+
+
+def _is_primitive(modulus, p):
+    """x has order p^k - 1 modulo x^k + modulus, which forces a field."""
+    n = p ** len(modulus) - 1
+    one = [1] + [0] * (len(modulus) - 1)
+    return (_x_power(n, modulus, p) == one
+            and all(_x_power(n // r, modulus, p) != one
+                    for r in _prime_factors(n)))
+
+
+class FieldExt:
+    """F_{p^k} as F_p[x] modulo a fixed primitive monic polynomial.
+
+    An element is an int 0 <= a < p^k whose base-p digits are its
+    coefficients c_0, ..., c_{k-1}, c_0 least significant; F_p embeds as
+    0..p-1.  The modulus x^k + a_{k-1} x^{k-1} + ... + a_0 (stored as
+    ``modulus = (a_0, ..., a_{k-1})``) is the first primitive one in
+    lexicographic order on (a_{k-1}, ..., a_1, a_0), so the tables are
+    reproducible.  One walk over the powers of x fills the exp, log and
+    Zech tables, after which every operation is a lookup.  The tables
+    are O(p^k), so construction raises CountBoundError above COUNT_BOUND.
     """
 
     def __init__(self, p, k):
@@ -53,158 +116,90 @@ class FieldExt:
             raise CurveError(f"{p} is not prime")
         if k < 1:
             raise CurveError("extension degree must be >= 1")
+        _check_bound(p, k)
         self.p = p
         self.k = k
-        self.modulus = self._find_modulus()
-
-    def _find_modulus(self):
-        from itertools import product
-        p, k = self.p, self.k
-        if k == 1:
-            return (0,)
-        for high_to_low in product(range(p), repeat=k):
-            coeffs = tuple(reversed(high_to_low))  # (a_0, ..., a_{k-1})
-            if self._is_irreducible(coeffs):
-                return coeffs
-        raise CurveError("no irreducible polynomial found")  # unreachable
-
-    def _is_irreducible(self, coeffs):
-        p, k = self.p, self.k
-        if k <= 3:
-            # no roots in F_p suffices for degree 2 and 3
-            for x in range(p):
-                val = (pow(x, k, p) + sum(
-                    c * pow(x, i, p) for i, c in enumerate(coeffs))) % p
-                if val == 0:
-                    return False
-            return k >= 2
-        # general criterion: x^{p^k} = x mod f and gcd(x^{p^{k/r}} - x, f) = 1
-        f = coeffs + (1,)
-        xq = self._powmod_x(p ** k, f)
-        if xq != (0, 1) + (0,) * (k - 2):
-            return False
-        r = 2
-        kk = k
-        primes = set()
-        while kk > 1:
-            while kk % r == 0:
-                primes.add(r)
-                kk //= r
-            r += 1
-        for r in primes:
-            g = self._poly_gcd(
-                self._poly_sub(self._powmod_x(p ** (k // r), f),
-                               (0, 1) + (0,) * (k - 2)), f)
-            if len([c for c in g if c]) and self._poly_deg(g) > 0:
-                return False
-        return True
-
-    # small dense polynomial helpers over F_p (coefficient lists, low first)
-    def _poly_deg(self, a):
-        d = -1
-        for i, c in enumerate(a):
-            if c % self.p:
-                d = i
-        return d
-
-    def _poly_sub(self, a, b):
-        n = max(len(a), len(b))
-        return tuple(((a[i] if i < len(a) else 0)
-                      - (b[i] if i < len(b) else 0)) % self.p
-                     for i in range(n))
-
-    def _poly_mod(self, a, f):
-        p = self.p
-        a = list(a)
-        df = self._poly_deg(f)
-        inv_lead = pow(f[df], p - 2, p)
-        for i in range(len(a) - 1, df - 1, -1):
-            if a[i] % p:
-                q = a[i] * inv_lead % p
-                for j in range(df + 1):
-                    a[i - df + j] = (a[i - df + j] - q * f[j]) % p
-        return tuple(c % p for c in a[:df])
-
-    def _poly_gcd(self, a, b):
-        a, b = tuple(c % self.p for c in a), tuple(c % self.p for c in b)
-        while self._poly_deg(b) >= 0:
-            a, b = b, self._poly_mod(a, b + (0,) * max(0, len(a) - len(b)))
-            if self._poly_deg(b) < 0:
-                break
-        return a
-
-    def _powmod_x(self, e, f):
-        """x**e modulo f, as a coefficient tuple of length deg f."""
-        result = (1,) + (0,) * (self._poly_deg(f) - 1)
-        base = (0, 1) + (0,) * (self._poly_deg(f) - 2)
-        while e:
-            if e & 1:
-                result = self._poly_mod(self._mul_raw(result, base), f)
-            base = self._poly_mod(self._mul_raw(base, base), f)
-            e >>= 1
-        return result
-
-    def _mul_raw(self, a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] = (out[i + j] + x * y) % self.p
-        return tuple(out)
-
-    # element arithmetic -----------------------------------------------------
-    @property
-    def order(self):
-        return self.p ** self.k
+        self.order = q = p ** k
+        # lexicographic order on (a_{k-1}, ..., a_0) is the order of the ints
+        candidates = (tuple(i // p ** j % p for j in range(k))
+                      for i in range(q))
+        self.modulus = next(m for m in candidates if _is_primitive(m, p))
+        n = self._n = q - 1
+        # exp[e] = x^e for 0 <= e < 2n, so a sum of two logs needs no mod
+        exp = self._exp = array("i", [0]) * (2 * n)
+        log = self._log = array("i", [0]) * q
+        top = p ** (k - 1)
+        # x * (t x^{k-1} + rest) = x rest - t (a_0 + ... + a_{k-1} x^{k-1})
+        terms = [(p ** i, -c % p) for i, c in enumerate(self.modulus) if c]
+        v = 1
+        for e in range(n):
+            exp[e] = exp[e + n] = v
+            log[v] = e
+            t, v = divmod(v, top)
+            v *= p
+            for w, c in terms:
+                d = v // w % p
+                v += ((d + t * c) % p - d) * w
+        # zech[e] = log(1 + x^e), or -1 where 1 + x^e = 0
+        zech = self._zech = array("i", [0]) * n
+        for e in range(n):
+            v = exp[e]
+            v += (v + 1) % p - v % p
+            zech[e] = log[v] if v else -1
+        self._log_minus_one = log[p - 1]
 
     def zero(self):
-        return (0,) * self.k
+        return 0
 
     def one(self):
-        return (1,) + (0,) * (self.k - 1)
+        return 1
 
     def embed(self, n):
-        return (n % self.p,) + (0,) * (self.k - 1)
+        return n % self.p
 
     def elements(self):
-        from itertools import product
-        for low_to_high in product(range(self.p), repeat=self.k):
-            yield low_to_high
+        return range(self.order)
 
     def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self._log[a]
+        z = self._zech[(self._log[b] - la) % self._n]  # a + b = a (1 + b/a)
+        return self._exp[la + z] if z >= 0 else 0
 
     def neg(self, a):
-        return tuple(-x % self.p for x in a)
+        return self._exp[self._log[a] + self._log_minus_one] if a else 0
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        if self.k == 1:
-            return (a[0] * b[0] % self.p,)
-        raw = self._mul_raw(a, b)
-        mod = self.modulus + (1,)
-        return self._poly_mod(raw, mod)
+        return self._exp[self._log[a] + self._log[b]] if a and b else 0
 
     def pow(self, a, e):
-        out = self.one()
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        if not a:
+            return 0 if e else 1
+        return self._exp[self._log[a] * e % self._n]
 
     def inv(self, a):
-        if a == self.zero():
+        if not a:
             raise CurveError("division by zero in field extension")
-        return self.pow(a, self.order - 2)
+        return self._exp[self._n - self._log[a]]
 
     def frob(self, a):
         """The p-power Frobenius of an element."""
         return self.pow(a, self.p)
+
+
+_cached_field = cache(FieldExt)
+
+
+def field_ext(p, k):
+    """F_{p^k}, built once per (p, k) and kept for the life of the process."""
+    _check_bound(p, k)  # again: COUNT_BOUND may have dropped since the build
+    return _cached_field(p, k)
 
 
 # ---------------------------------------------------------------------------
@@ -230,32 +225,24 @@ class FrobeniusData:
     ordinary: bool
 
 
-def _check_bound(p, k):
-    if p ** k > COUNT_BOUND:
-        raise CountBoundError(f"p**k = {p ** k} exceeds the counting bound "
-                              f"{COUNT_BOUND}")
-
-
 def _square_table(field):
-    """Map y**2 -> number of square roots y, over the whole field."""
-    table = {}
+    """table[s] = number of square roots y of s, over the whole field."""
+    table = bytearray(field.order)
     for y in field.elements():
-        sq = field.mul(y, y)
-        table[sq] = table.get(sq, 0) + 1
+        table[field.mul(y, y)] += 1
     return table
 
 
 def count_points(curve: EllipticCurve, k=1) -> int:
     """#E(F_{p^k}) by exhaustive x-sweep against a full square table."""
-    _check_bound(curve.p, k)
-    field = FieldExt(curve.p, k)
+    field = field_ext(curve.p, k)
     table = _square_table(field)
     a, b = field.embed(curve.a), field.embed(curve.b)
     total = 1  # the point at infinity
     for x in field.elements():
         rhs = field.add(field.mul(field.mul(x, x), x),
                         field.add(field.mul(a, x), b))
-        total += table.get(rhs, 0)
+        total += table[rhs]
     return total
 
 
@@ -349,10 +336,9 @@ def enumerate_points(field, curve):
 def verify_frobenius_annihilation(curve: EllipticCurve, k=2,
                                   a_p=None) -> bool:
     """pi^2(P) - [a_p] pi(P) + [p] P = O for every P in E(F_{p^k})."""
-    _check_bound(curve.p, k)
+    field = field_ext(curve.p, k)
     if a_p is None:
         a_p = curve.p + 1 - count_points(curve, 1)
-    field = FieldExt(curve.p, k)
     for P in enumerate_points(field, curve):
         if P is None:
             continue
@@ -367,6 +353,13 @@ def verify_frobenius_annihilation(curve: EllipticCurve, k=2,
     return True
 
 
+@cache
+def _gl2_hecke_polynomial():
+    """GL(2) and its degree-2 Hecke polynomial, shared by every curve."""
+    rd = build_group("GL(2)")
+    return rd, hecke_polynomial(rd, (1, 0))
+
+
 def satake_link(curve: EllipticCurve):
     """Specialize the degree-2 Hecke polynomial at (a_p, p).
 
@@ -375,8 +368,7 @@ def satake_link(curve: EllipticCurve):
     """
     p = curve.p
     a_p = p + 1 - count_points(curve, 1)
-    rd = build_group("GL(2)")
-    H = hecke_polynomial(rd, (1, 0))
+    rd, H = _gl2_hecke_polynomial()
     s = SatakeParameterSymmetric(
         {(1, 0): QuadExt(0, Fraction(a_p, p), p), (1, 1): 1}, p)
     coeffs = specialize(H, s, rd)
@@ -386,8 +378,7 @@ def satake_link(curve: EllipticCurve):
 
 def export_point_set(curve: EllipticCurve, k=1) -> FinitePointSet:
     """E(F_{p^k}) with the coordinate p-power map as its permutation."""
-    _check_bound(curve.p, k)
-    field = FieldExt(curve.p, k)
+    field = field_ext(curve.p, k)
     pts = enumerate_points(field, curve)
     index = {P: i for i, P in enumerate(pts)}
     perm = []

@@ -320,7 +320,7 @@ def convolve_double(h1: DoubleCosetSum, h2: DoubleCosetSum) -> DoubleCosetSum:
     for lam, cosets in by_type.items():
         coeffs = set(cosets.values())
         if len(coeffs) != 1:
-            raise CosetError(
+            raise RuntimeError(
                 f"product is not bi-invariant at type {lam}; "
                 f"internal inconsistency")
         out[lam] = coeffs.pop()
@@ -390,8 +390,8 @@ def satake_numeric(h: DoubleCosetSum) -> GroupAlgebraElement:
         out[chi] = out.get(chi, Laurent.zero()) + Laurent.v_power(e, c)
     result = reduce_mod_v2(GroupAlgebraElement(h.n, out), h.p)
     if not is_weyl_invariant(_gl_reflections(h.n), result):
-        raise CosetError("numeric Satake image is not Weyl invariant; "
-                         "convention inconsistency")
+        raise RuntimeError("numeric Satake image is not Weyl invariant; "
+                           "convention inconsistency")
     return result
 
 

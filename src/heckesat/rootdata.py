@@ -472,7 +472,7 @@ def parabolic_data(rd: RootDatum, mu) -> ParabolicData:
     d2 = rd.pairing(delta_p, mu)
     d3 = len(unip)
     if not d1 == d2 == d3:
-        raise RootDatumError(
+        raise RuntimeError(
             f"inconsistent d: <mu,delta>={d1}, <mu,delta_P>={d2}, #unip={d3}"
         )
     return ParabolicData(mu, levi, unip, delta, delta_p, d1)

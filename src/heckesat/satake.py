@@ -231,8 +231,8 @@ def restrict_to_levi(H: HeckePolynomialSatake, rd: RootDatum,
     )
     for c in H.coefficients:
         if not is_weyl_invariant(gens, c):
-            raise SatakeError("coefficient not invariant under the Levi Weyl "
-                              "group; internal inconsistency")
+            raise RuntimeError("coefficient not invariant under the Levi Weyl "
+                               "group; internal inconsistency")
     return H
 
 

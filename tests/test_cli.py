@@ -126,3 +126,12 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     code, out, err = run(capsys, "hecke-poly", "--group", "GL2", "--mu", "1,0")
     assert code == 4 and out == ""
     assert err == "internal error: ZeroDivisionError: boom\n"
+
+
+def test_internal_inconsistency_is_internal_error(capsys, monkeypatch):
+    from heckesat import padic
+    monkeypatch.setattr(padic, "is_weyl_invariant", lambda gens, x: False)
+    code, out, err = run(capsys, "verify", "convolution")
+    assert code == 4 and out == ""
+    assert err.startswith("internal error: RuntimeError: ")
+    assert err.count("\n") == 1

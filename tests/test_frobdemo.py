@@ -1,11 +1,17 @@
 import random
+import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckesat import elliptic as el
+from heckesat.cli import main
 from heckesat.corresp import compose, frobenius_corr, identity_corr
 from heckesat.elliptic import (
+    CountBoundError,
     CurveError,
     EllipticCurve,
     FieldExt,
@@ -32,7 +38,7 @@ def test_singular_curve_rejected():
 def test_field_ext_basics():
     f = FieldExt(5, 2)
     assert f.order == 25
-    x = (0, 1)
+    x = 5  # the digits (c_0, c_1) = (0, 1) in base 5
     assert f.mul(f.one(), x) == x
     assert f.mul(x, f.inv(x)) == f.one()
     assert len(list(f.elements())) == 25
@@ -49,7 +55,7 @@ def test_field_ext_modulus_is_deterministic():
 def test_field_ext_degree_four():
     f = FieldExt(3, 4)
     assert f.order == 81
-    x = (0, 1, 0, 0)
+    x = 3  # the digits (c_0, c_1, c_2, c_3) = (0, 1, 0, 0) in base 3
     assert f.pow(x, f.order - 1) == f.one()
 
 
@@ -62,6 +68,13 @@ def test_count_points_anchors():
 def test_count_bound():
     with pytest.raises(CurveError):
         count_points(EllipticCurve(101, 1, 1), 4)
+
+
+def test_field_bound_at_construction():
+    start = time.perf_counter()
+    with pytest.raises(CountBoundError):
+        FieldExt(101, 4)
+    assert time.perf_counter() - start < 1
 
 
 def test_frobenius_data():
@@ -144,3 +157,132 @@ def test_curve_report():
     assert report["counts"] == [9, 27]
     assert report["count_consistency"] and report["frobenius_annihilation"]
     assert report["satake_link"]
+
+
+# ---------------------------------------------------------------------------
+# the table-driven field against test-local references
+
+SMALL_FIELDS = ((2, 2), (2, 3), (3, 2), (5, 2), (3, 3))
+
+
+def _digits(a, p, k):
+    return [a // p ** i % p for i in range(k)]
+
+
+def _schoolbook_mul(p, modulus, a, b):
+    """a * b as polynomials over F_p, long-divided by x^k + modulus."""
+    k = len(modulus)
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(_digits(a, p, k)):
+        for j, y in enumerate(_digits(b, p, k)):
+            prod[i + j] += x * y
+    f = list(modulus) + [1]
+    for i in range(2 * k - 2, k - 1, -1):
+        c = prod[i]
+        for j in range(k + 1):
+            prod[i - k + j] -= c * f[j]
+    return sum(c % p * p ** i for i, c in enumerate(prod[:k]))
+
+
+def _schoolbook_add(p, k, a, b):
+    return sum((x + y) % p * p ** i for i, (x, y) in
+               enumerate(zip(_digits(a, p, k), _digits(b, p, k))))
+
+
+def _x_is_primitive(p, modulus):
+    """x^(q-1) = 1 and x, x^2, ..., x^(q-1) are q - 1 distinct elements."""
+    k = len(modulus)
+    x = _schoolbook_mul(p, modulus, 1, p if k > 1 else -modulus[0] % p)
+    powers = [x]
+    for _ in range(p ** k - 2):
+        powers.append(_schoolbook_mul(p, modulus, powers[-1], x))
+    return powers[-1] == 1 and len(set(powers)) == p ** k - 1
+
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS)
+def test_field_matches_schoolbook_arithmetic(p, k):
+    f = FieldExt(p, k)
+    for a in f.elements():
+        for b in f.elements():
+            assert f.mul(a, b) == _schoolbook_mul(p, f.modulus, a, b)
+            assert f.add(a, b) == _schoolbook_add(p, k, a, b)
+
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS + ((2, 1), (3, 1), (7, 1)))
+def test_modulus_is_first_primitive(p, k):
+    modulus = FieldExt(p, k).modulus
+    # lexicographic order on (a_{k-1}, ..., a_0)
+    candidates = [c[::-1] for c in product(range(p), repeat=k)]
+    first = next(m for m in candidates if _x_is_primitive(p, m))
+    assert modulus == first
+
+
+FIELD_SIZES = [(p, k) for p in (2, 3, 5, 7, 11, 13, 97, 241)
+               for k in range(1, 9) if p ** k <= 3 ** 5]
+
+
+@st.composite
+def field_and_elements(draw):
+    p, k = draw(st.sampled_from(FIELD_SIZES))
+    f = el.field_ext(p, k)
+    a, b, c = (draw(st.integers(0, f.order - 1)) for _ in range(3))
+    return f, a, b, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_and_elements())
+def test_field_axioms(fabc):
+    f, a, b, c = fabc
+    add, mul = f.add, f.mul
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert add(a, b) == add(b, a) and mul(a, b) == mul(b, a)
+    assert add(a, f.zero()) == a and mul(a, f.one()) == a
+    assert add(a, f.neg(a)) == f.zero()
+    assert add(f.sub(a, b), b) == a
+    if a != f.zero():
+        assert mul(a, f.inv(a)) == f.one()
+        assert f.pow(a, f.order - 1) == f.one()
+        assert f.pow(a, 5) == mul(a, mul(mul(a, a), mul(a, a)))
+
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS + ((3, 4), (2, 6)))
+def test_frobenius_is_automorphism_of_order_k(p, k):
+    f = FieldExt(p, k)
+    elems = list(f.elements())
+    images = [f.frob(a) for a in elems]
+    assert sorted(images) == elems
+    for a in elems:
+        for b in elems[::3]:
+            assert f.frob(f.mul(a, b)) == f.mul(f.frob(a), f.frob(b))
+            assert f.frob(f.add(a, b)) == f.add(f.frob(a), f.frob(b))
+        image = a
+        for _ in range(k):
+            image = f.frob(image)
+        assert image == a
+    assert [a for a in elems if f.frob(a) == a] == list(range(p))
+
+
+def test_count_consistency_beyond_degree_three():
+    assert verify_count_consistency(EllipticCurve(3, 1, 1), 5)
+    assert verify_count_consistency(EllipticCurve(3, 2, 1), 5)
+    assert verify_count_consistency(EllipticCurve(5, 1, 1), 4)
+    assert verify_count_consistency(EllipticCurve(5, 0, 1), 4)
+
+
+def _euler_count(p, a, b):
+    legendre = [0] + [1 if pow(x, (p - 1) // 2, p) == 1 else -1
+                      for x in range(1, p)]
+    return 1 + sum(1 + legendre[(x ** 3 + a * x + b) % p] for x in range(p))
+
+
+def test_count_points_matches_euler_criterion():
+    for p in (3, 5, 7, 11, 13):
+        for curve in all_curves(p):
+            assert count_points(curve, 1) == _euler_count(p, curve.a, curve.b)
+
+
+def test_frobdemo_at_p_101(capsys):
+    assert main(["verify", "frobdemo", "--p", "101", "--curves", "2"]) == 0
+    assert "passed: True" in capsys.readouterr().out
