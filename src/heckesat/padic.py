@@ -1,9 +1,10 @@
 """Concrete coset calculus for GL_n(Q_p) at hyperspecial level.
 
 Left cosets g*GL_n(Z_p) are canonicalized by the p-adic Hermite form,
-double cosets K g K by elementary-divisor type.  Convolution follows the
-rule 1_{g1 K} * 1_{K g2 K} = 1_{g1 K g2 K}, expanded over canonical
-left-coset representatives.  The numeric Satake transform composes
+double cosets K g K by elementary-divisor type.  The left cosets of a
+double coset form one transvection orbit; a product of double cosets is
+read off by counting, (1_{KaK} * 1_{KbK})(p**nu) = #{x in KaK/K :
+x**-1 p**nu in KbK}.  The numeric Satake transform composes
 restriction to the Borel (automatic for upper-triangular
 representatives), the diagonal read-off map, and the half-power modulus
 twist, with signs fixed in :mod:`heckesat.conventions`.
@@ -15,11 +16,12 @@ opens are exact rationals (reciprocal coset counts).
 from __future__ import annotations
 
 import json
-import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product as iproduct
+from itertools import combinations_with_replacement
+from math import prod
 
 from .intmat import (
     NormalFormError,
@@ -35,8 +37,7 @@ from .laurent import Laurent
 from .rootdata import build_group, simple_reflections
 from .satake import GroupAlgebraElement, is_weyl_invariant
 
-DEFAULT_ENUM_BOUND = 10 ** 7
-ENUM_BOUND_ENV = "HECKE_SAT_MAX_ENUM"
+ENUM_BOUND = 10 ** 7  # most left cosets one double coset may enumerate
 
 
 class CosetError(ValueError):
@@ -45,16 +46,6 @@ class CosetError(ValueError):
 
 class EnumerationBoundError(RuntimeError):
     pass
-
-
-def _enum_bound():
-    raw = os.environ.get(ENUM_BOUND_ENV)
-    if raw is None:
-        return DEFAULT_ENUM_BOUND
-    try:
-        return int(raw)
-    except ValueError:
-        raise CosetError(f"bad {ENUM_BOUND_ENV} value {raw!r}")
 
 
 def _check_size_prime(n, p):
@@ -220,63 +211,70 @@ def _check_type(lam, n):
     return lam
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def gl_delta(n):
+    """Sum of positive roots of GL(n): (n-1, n-3, ..., -(n-1))."""
+    return tuple(n - 1 - 2 * i for i in range(n))
 
 
-# decomposition cache: (lam, n, p) -> tuple of PCoset.  Filled either by
-# direct enumeration or as a byproduct of convolve_double, whose grouped
-# product support is the complete coset list of each product type.
-_DECOMP_CACHE = {}
+def _q_factorial(k, q):
+    return prod(sum(q ** j for j in range(i)) for i in range(1, k + 1))
 
 
-def _enumerate_type(lam, n, p, bound):
-    total = sum(lam)
-    if p ** (total * n) > bound:
-        raise EnumerationBoundError(
-            f"enumeration for type {lam} at p={p} exceeds the bound {bound}; "
-            f"raise {ENUM_BOUND_ENV} to override"
-        )
-    out = []
-    for diag in _compositions(total, n):
-        ranges = []
-        for i in range(n):
-            for j in range(n):
-                if i < j:
-                    ranges.append(range(p ** diag[i]))
-        for offs in iproduct(*ranges):
-            m = [[0] * n for _ in range(n)]
-            it = iter(offs)
-            for i in range(n):
-                m[i][i] = p ** diag[i]
-                for j in range(i + 1, n):
-                    m[i][j] = next(it)
-            m = tuple(tuple(r) for r in m)
-            if snf_type(m, p) == lam:
-                out.append(PCoset(n, p, m, 0))
-    return tuple(out)
+def coset_count(lam, p):
+    """Number of left cosets in K p**lam K: p**<2 rho, lam> * [n]!_{1/p}
+    divided by prod_j [m_j]!_{1/p}, m_j the multiplicities of lam's parts.
+    """
+    _check_size_prime(len(lam), p)
+    lam = _check_type(lam, len(lam))
+    q = Fraction(1, p)
+    count = p ** sum(d * x for d, x in zip(gl_delta(len(lam)), lam))
+    count *= _q_factorial(len(lam), q)
+    for m in Counter(lam).values():
+        count /= _q_factorial(m, q)
+    return int(count)
+
+
+@cache
+def _coset_orbit(lam0, n, p):
+    # Adding row j to row i (j = i +- 1) is left multiplication by the
+    # transvection I + E_ij.  These generate SL_n(Z), which is dense in
+    # SL_n(Z_p), and the diagonal units of K fix p**lam0 K, so the orbit of
+    # p**lam0 K is the whole double coset.  Each move permutes the finite
+    # orbit, so no inverse moves are needed.
+    moves = [(i, j) for i in range(n) for j in (i - 1, i + 1) if 0 <= j < n]
+    start = PCoset(n, p, tuple(tuple(p ** x * (i == j) for j in range(n))
+                               for i, x in enumerate(lam0)))
+    seen, todo = {start}, [start]
+    while todo:
+        rep = todo.pop().rep
+        for i, j in moves:
+            m = list(rep)
+            m[i] = tuple(x + y for x, y in zip(rep[i], rep[j]))
+            g = PCoset.from_matrix(m, p)
+            if g not in seen:
+                seen.add(g)
+                todo.append(g)
+    return tuple(sorted(seen, key=lambda g: g.rep))
 
 
 def decompose_double_coset(lam, n, p):
     """Canonical left-coset representatives of the double coset of type lam.
 
     The central part is factored out first: for lam = (c, ..., c) + lam0
-    with lam0 ending in 0, the representatives of lam0 are computed by
-    exhaustive Hermite-form enumeration and shifted by p**c.
+    with lam0 ending in 0, the representatives of lam0 are the transvection
+    orbit of p**lam0 K, shifted by p**c.  More than ENUM_BOUND cosets
+    raise EnumerationBoundError.
     """
     lam = _check_type(lam, n)
     n, p = int(n), int(p)
     c = lam[-1]
     lam0 = tuple(x - c for x in lam)
-    key = (lam0, n, p)
-    if key not in _DECOMP_CACHE:
-        _DECOMP_CACHE[key] = _enumerate_type(lam0, n, p, _enum_bound())
-    reps = _DECOMP_CACHE[key]
+    count = coset_count(lam0, p)
+    if count > ENUM_BOUND:
+        raise EnumerationBoundError(
+            f"enumeration of {count} cosets for type {lam} at p={p} "
+            f"exceeds the bound {ENUM_BOUND}")
+    reps = _coset_orbit(lam0, n, p)
     if c == 0:
         return list(reps)
     return [PCoset(g.n, g.p, g.rep, g.shift + c) for g in reps]
@@ -305,44 +303,58 @@ def convolve_left_by_double(f: CosetSum, h: DoubleCosetSum) -> CosetSum:
     return CosetSum(f.n, f.p, out)
 
 
-def convolve_double(h1: DoubleCosetSum, h2: DoubleCosetSum) -> DoubleCosetSum:
-    """Hecke-algebra product, regrouped by elementary-divisor type.
+def _degree(h: DoubleCosetSum):
+    return sum(c * coset_count(lam, h.p) for lam, c in h.terms.items())
 
-    The pairwise left-coset products are regrouped by type and checked
-    for bi-invariance: within each type every representative must appear
-    with one common coefficient.
+
+def _product_count(cosets, b, nu, p):
+    """#{x in cosets : x**-1 p**nu in K p**b K}.
+
+    That holds iff p**nu1 (x**-1 p**nu)**-1 = p**(nu1 - nu) x lies in
+    K p**(nu1 - b) K; the matrix is integral, so snf_type reads its type.
     """
-    f = convolve_left_by_double(expand_to_cosets(h1), h2)
-    by_type = {}
-    for g, c in f.terms.items():
-        by_type.setdefault(g.snf(), {})[g] = c
+    target = tuple(nu[0] - x for x in reversed(b))
+    count = 0
+    for x in cosets:
+        m = tuple(tuple(p ** (nu[0] - v + x.shift) * e for e in row)
+                  for v, row in zip(nu, x.rep))
+        count += snf_type(m, p) == target
+    return count
+
+
+def convolve_double(h1: DoubleCosetSum, h2: DoubleCosetSum) -> DoubleCosetSum:
+    """Hecke-algebra product, one coefficient per candidate type.
+
+    For factor types a and b the candidates nu are the descending types
+    with |nu| = |a| + |b| and entries in [a_n + b_n, a_1 + b_1]; the
+    coefficient of nu counts cosets of the factor with fewer cosets (the
+    algebra is commutative).  The result is checked against the degree
+    homomorphism: the product's coset count is the product of the counts.
+    """
+    if (h1.n, h1.p) != (h2.n, h2.p):
+        raise CosetError("size/prime mismatch")
+    n, p = h1.n, h1.p
     out = {}
-    for lam, cosets in by_type.items():
-        coeffs = set(cosets.values())
-        if len(coeffs) != 1:
-            raise RuntimeError(
-                f"product is not bi-invariant at type {lam}; "
-                f"internal inconsistency")
-        out[lam] = coeffs.pop()
-        # Bi-invariance makes this group the full coset list of the type;
-        # seed the decomposition cache so the type need not be enumerated.
-        lam0 = tuple(x - lam[-1] for x in lam)
-        key = (lam0, h1.n, h1.p)
-        if key not in _DECOMP_CACHE:
-            _DECOMP_CACHE[key] = tuple(sorted(
-                (PCoset(g.n, g.p, g.rep, 0) for g in cosets),
-                key=lambda g: g.rep))
-    return DoubleCosetSum(h1.n, h1.p, out)
+    for a, ca in h1.terms.items():
+        for b, cb in h2.terms.items():
+            small, big = sorted((a, b), key=lambda t: coset_count(t, p))
+            cosets = decompose_double_coset(small, n, p)
+            levels = range(a[0] + b[0], a[-1] + b[-1] - 1, -1)
+            for nu in combinations_with_replacement(levels, n):
+                if sum(nu) == sum(a) + sum(b):
+                    k = _product_count(cosets, big, nu, p)
+                    out[nu] = out.get(nu, Fraction(0)) + ca * cb * k
+    result = DoubleCosetSum(n, p, out)
+    degree, expected = _degree(result), _degree(h1) * _degree(h2)
+    if degree != expected:
+        raise RuntimeError(f"product degree {degree} is not {expected}; "
+                           f"internal inconsistency")
+    return result
 
 
 def measure_intersection(g: PCoset) -> Fraction:
     """Volume of K \\cap g K g**-1, i.e. 1 / #(left cosets of K g K)."""
-    return Fraction(1, len(decompose_double_coset(g.snf(), g.n, g.p)))
-
-
-def gl_delta(n):
-    """Sum of positive roots of GL(n): (n-1, n-3, ..., -(n-1))."""
-    return tuple(n - 1 - 2 * i for i in range(n))
+    return Fraction(1, coset_count(g.snf(), g.p))
 
 
 def sigma_to_torus(f: CosetSum) -> GroupAlgebraElement:
@@ -405,18 +417,6 @@ def coset_equal(g1, g2, p) -> bool:
 
 # ---------------------------------------------------------------------------
 # serialization
-
-def coset_sum_to_dict(f: CosetSum):
-    terms = []
-    for g in sorted(f.terms, key=lambda g: (g.shift, g.rep)):
-        c = f.terms[g]
-        terms.append({
-            "rep": [list(r) for r in g.rep],
-            "shift": g.shift,
-            "coeff": [c.numerator, c.denominator],
-        })
-    return {"n": f.n, "p": f.p, "terms": terms}
-
 
 def double_coset_sum_to_dict(h: DoubleCosetSum):
     terms = []

@@ -52,7 +52,8 @@ def test_convolve_unit(capsys):
 
 
 def test_convolve_bound_exit_code(capsys, monkeypatch):
-    monkeypatch.setenv("HECKE_SAT_MAX_ENUM", "10")
+    from heckesat import padic
+    monkeypatch.setattr(padic, "ENUM_BOUND", 10)
     code, _, err = run(capsys, "convolve", "--n", "2", "--p", "2",
                        "--types", "9,0", "9,0")
     assert code == 3 and "bound" in err

@@ -178,3 +178,13 @@ def test_coset_equal_right_p_unit_invariance(data):
                                     max_size=n), min_size=n, max_size=n))
     assume(det(u) % p != 0)
     assert coset_equal(g, mat_mul(g, u), p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_normal_forms_invariant_under_unimodular(data):
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    m = data.draw(p_power_det_matrix(3, p))
+    u, v = data.draw(unimodular(3)), data.draw(unimodular(3))
+    assert snf_type(mat_mul(mat_mul(u, m), v), p) == snf_type(m, p)
+    assert hnf_padic(mat_mul(m, v), p) == hnf_padic(m, p)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -14,6 +15,7 @@ from heckesat.padic import (
     PCoset,
     convolve_double,
     convolve_left_by_double,
+    coset_count,
     decompose_double_coset,
     expand_to_cosets,
     measure_intersection,
@@ -41,6 +43,35 @@ def test_degree_counts(n, p):
         p ** i for i in range(n))
 
 
+def types(n, hi):
+    """Descending types of length n with entries in [0, hi]."""
+    return list(combinations_with_replacement(range(hi, -1, -1), n))
+
+
+@pytest.mark.parametrize("n,hi,primes", [
+    (2, 3, (2, 3, 5)), (3, 2, (2, 3)), (4, 1, (2, 3))])
+def test_decomposition_matches_coset_count(n, hi, primes):
+    # Every orbit element is a canonical coset of type lam, so equal
+    # sizes mean the orbit is the whole double coset.
+    for p in primes:
+        for lam in types(n - 1, hi):
+            lam += (0,)
+            reps = decompose_double_coset(lam, n, p)
+            assert len(reps) == coset_count(lam, p), (lam, p)
+            assert len(set(reps)) == len(reps)
+            for g in reps:
+                assert g.rep == pd.hnf_padic(g.rep, p) and g.snf() == lam
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_coset_count_hand_values(p):
+    assert coset_count((1, 0), p) == p + 1
+    assert coset_count((2, 0), p) == p * p + p
+    assert coset_count((1, 0, 0), p) == coset_count((1, 1, 0), p) == \
+        1 + p + p * p
+    assert coset_count((3, 3, 3), p) == 1
+
+
 def test_decomposition_reps_are_canonical_and_distinct():
     reps = decompose_double_coset((2, 1), 2, 3)
     seen = set()
@@ -65,9 +96,15 @@ def test_type_validation():
 
 
 def test_enumeration_bound(monkeypatch):
-    monkeypatch.setenv(pd.ENUM_BOUND_ENV, "10")
+    monkeypatch.setattr(pd, "ENUM_BOUND", 10)
     with pytest.raises(EnumerationBoundError):
         decompose_double_coset((9, 0), 2, 2)
+
+
+def test_convolution_enumerates_only_the_smaller_factor(monkeypatch):
+    monkeypatch.setattr(pd, "ENUM_BOUND", 10)
+    big, t = (DoubleCosetSum.basis(lam, 2, 2) for lam in ((9, 0), (1, 0)))
+    assert convolve_double(big, t).terms == {(10, 0): 1, (9, 1): 2}
 
 
 def test_convolve_left_unit():
@@ -96,6 +133,46 @@ def test_tp_squared(p):
     T = DoubleCosetSum.basis((1, 0), 2, p)
     TT = convolve_double(T, T)
     assert TT.terms == {(2, 0): Fraction(1), (1, 1): Fraction(p + 1)}
+
+
+def product_by_expansion(h1, h2):
+    """The product from the full left-coset expansion, regrouped by type.
+
+    Asserts bi-invariance: each type's cosets are its whole double coset,
+    all with one coefficient.
+    """
+    f = convolve_left_by_double(expand_to_cosets(h1), h2)
+    by_type = {}
+    for g, c in f.terms.items():
+        by_type.setdefault(g.snf(), {})[g] = c
+    out = {}
+    for lam, cosets in by_type.items():
+        assert set(cosets) == set(decompose_double_coset(lam, h1.n, h1.p))
+        (out[lam],) = set(cosets.values())
+    return out
+
+
+@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2)])
+def test_product_matches_full_expansion(n, p):
+    for a, b in combinations_with_replacement(types(n, 2), 2):
+        h1, h2 = (DoubleCosetSum.basis(t, n, p) for t in (a, b))
+        assert convolve_double(h1, h2).terms == product_by_expansion(h1, h2)
+
+
+def test_product_of_sums_matches_full_expansion():
+    h1 = DoubleCosetSum(3, 2, {(1, 0, 0): 1, (2, 1, 0): Fraction(1, 2)})
+    h2 = DoubleCosetSum(3, 2, {(1, 1, 0): 3, (0, 0, 0): -1, (2, 2, 1): 2})
+    expected = product_by_expansion(h1, h2)
+    assert len(expected) > 3
+    assert convolve_double(h1, h2).terms == expected
+
+
+def test_convolve_double_rejects_mismatch():
+    h = DoubleCosetSum.basis((1, 0), 2, 2)
+    with pytest.raises(CosetError):
+        convolve_double(h, DoubleCosetSum.basis((1, 0, 0), 3, 2))
+    with pytest.raises(CosetError):
+        convolve_double(h, DoubleCosetSum.basis((1, 0), 2, 3))
 
 
 def test_unit_laws():
