@@ -4,10 +4,11 @@ Left cosets g*GL_n(Z_p) are canonicalized by the p-adic Hermite form,
 double cosets K g K by elementary-divisor type.  The left cosets of a
 double coset form one transvection orbit; a product of double cosets is
 read off by counting, (1_{KaK} * 1_{KbK})(p**nu) = #{x in KaK/K :
-x**-1 p**nu in KbK}.  The numeric Satake transform composes
-restriction to the Borel (automatic for upper-triangular
-representatives), the diagonal read-off map, and the half-power modulus
-twist, with signs fixed in :mod:`heckesat.conventions`.
+x**-1 p**nu in KbK}.  The numeric Satake transform enumerates no
+cosets: it is the Hall-Littlewood closed form v**<delta, lam> *
+P_lam(x; 1/p) of Macdonald, *Symmetric Functions and Hall Polynomials*,
+V (3.3), with P_lam from the branching rule III (5.8') and signs fixed
+in :mod:`heckesat.conventions`.
 
 Haar measure is normalized so that K has volume 1; measures of compact
 opens are exact rationals (reciprocal coset counts).
@@ -20,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import prod
 
 from .intmat import (
@@ -28,8 +29,6 @@ from .intmat import (
     as_matrix,
     hnf_padic,
     is_prime,
-    mat_mul,
-    p_valuation,
     snf_type,
 )
 from .intmat import coset_equal as _coset_equal
@@ -88,68 +87,8 @@ class PCoset:
         return cls(n, p, tuple(tuple(int(i == j) for j in range(n))
                                for i in range(n)))
 
-    def diagonal_valuations(self):
-        return tuple(p_valuation(self.rep[i][i], self.p) + self.shift
-                     for i in range(self.n))
-
     def snf(self):
         return tuple(a + self.shift for a in snf_type(self.rep, self.p))
-
-    def matrix(self):
-        """The representative with the central shift folded in (shift >= 0)."""
-        if self.shift < 0:
-            raise CosetError("negative central shift has no integer matrix")
-        q = self.p ** self.shift
-        return tuple(tuple(q * x for x in row) for row in self.rep)
-
-
-class CosetSum:
-    """Rational linear combination of left cosets; the module H(G/K)."""
-
-    __slots__ = ("n", "p", "terms")
-
-    def __init__(self, n, p, terms=None):
-        self.n = int(n)
-        self.p = int(p)
-        _check_size_prime(self.n, self.p)
-        d = {}
-        if terms:
-            for g, c in terms.items():
-                if g.n != self.n or g.p != self.p:
-                    raise CosetError("size/prime mismatch in CosetSum")
-                c = Fraction(c)
-                if c:
-                    d[g] = c
-        self.terms = d
-
-    @classmethod
-    def from_coset(cls, g: PCoset, coeff=1):
-        return cls(g.n, g.p, {g: Fraction(coeff)})
-
-    @classmethod
-    def unit(cls, n, p):
-        return cls.from_coset(PCoset.unit(n, p))
-
-    def __add__(self, other):
-        if (self.n, self.p) != (other.n, other.p):
-            raise CosetError("size/prime mismatch")
-        d = dict(self.terms)
-        for g, c in other.terms.items():
-            d[g] = d.get(g, Fraction(0)) + c
-        return CosetSum(self.n, self.p, d)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return CosetSum(self.n, self.p,
-                        {g: k * c for g, k in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, CosetSum):
-            return NotImplemented
-        return (self.n, self.p, self.terms) == (other.n, other.p, other.terms)
-
-    def __repr__(self):
-        return f"CosetSum(n={self.n}, p={self.p}, {len(self.terms)} terms)"
 
 
 class DoubleCosetSum:
@@ -280,29 +219,6 @@ def decompose_double_coset(lam, n, p):
     return [PCoset(g.n, g.p, g.rep, g.shift + c) for g in reps]
 
 
-def expand_to_cosets(h: DoubleCosetSum) -> CosetSum:
-    """Left-coset expansion of a double-coset sum."""
-    out = {}
-    for lam, c in h.terms.items():
-        for g in decompose_double_coset(lam, h.n, h.p):
-            out[g] = out.get(g, Fraction(0)) + c
-    return CosetSum(h.n, h.p, out)
-
-
-def convolve_left_by_double(f: CosetSum, h: DoubleCosetSum) -> CosetSum:
-    """1_{gK} * 1_{KhK} = sum over representatives h_i of 1_{g h_i K}."""
-    if (f.n, f.p) != (h.n, h.p):
-        raise CosetError("size/prime mismatch")
-    out = {}
-    for g, cf in f.terms.items():
-        for lam, ch in h.terms.items():
-            for hi in decompose_double_coset(lam, h.n, h.p):
-                prod = PCoset.from_matrix(
-                    mat_mul(g.rep, hi.rep), f.p, g.shift + hi.shift)
-                out[prod] = out.get(prod, Fraction(0)) + cf * ch
-    return CosetSum(f.n, f.p, out)
-
-
 def _degree(h: DoubleCosetSum):
     return sum(c * coset_count(lam, h.p) for lam, c in h.terms.items())
 
@@ -357,20 +273,6 @@ def measure_intersection(g: PCoset) -> Fraction:
     return Fraction(1, coset_count(g.snf(), g.p))
 
 
-def sigma_to_torus(f: CosetSum) -> GroupAlgebraElement:
-    """Diagonal read-off of upper-triangular representatives.
-
-    A coset with diagonal valuations (v_1, ..., v_n) maps to the torus
-    coset of diag(p**v_i), identified with the exponent chi =
-    (-v_1, ..., -v_n) via the convention chi corresponds to chi(pi**-1).
-    """
-    out = {}
-    for g, c in f.terms.items():
-        chi = tuple(-v for v in g.diagonal_valuations())
-        out[chi] = out.get(chi, Laurent.zero()) + Laurent.from_scalar(c)
-    return GroupAlgebraElement(f.n, out)
-
-
 def reduce_mod_v2(x: GroupAlgebraElement, p) -> GroupAlgebraElement:
     """Reduce every v-coefficient modulo v**2 - p (canonical a + b*v form)."""
     out = {}
@@ -385,21 +287,48 @@ def _gl_reflections(n):
     return simple_reflections(build_group(f"GL({n})"))
 
 
-def satake_numeric(h: DoubleCosetSum) -> GroupAlgebraElement:
-    """Numeric Satake transform: expand, read off the torus, twist by v-powers.
+@cache
+def _hall_littlewood(lam, p):
+    """P_lam(x_1, ..., x_n; 1/p) as {exponent of x: coefficient}.
 
-    The coefficient at exponent chi is multiplied by v**<delta, chi> and
-    the result is reduced modulo v**2 - p.  The output is checked to be
-    invariant under the symmetric group permuting the exponents; failure
-    signals a convention inconsistency and raises.
+    Branching rule (Macdonald III (5.8'), (5.11')): P_lam is the sum over
+    kappa with n - 1 parts, lam_{j+1} <= kappa_j <= lam_j, of psi_{lam/kappa}
+    x_n**(|lam| - |kappa|) P_kappa(x_1, ..., x_{n-1}), where psi_{lam/kappa}
+    is the product of 1 - t**m_j(kappa) over the j >= 1 such that
+    lam/kappa has a box in column j + 1 and none in column j.
     """
-    f = expand_to_cosets(h)
+    if not lam:
+        return {(): Fraction(1)}
+    t, out = Fraction(1, p), {}
+    bounds = zip(lam[1:], lam)
+    for kappa in product(*(range(lo, hi + 1) for lo, hi in bounds)):
+        cols = {c for hi, lo in zip(lam, kappa + (0,))
+                for c in range(lo + 1, hi + 1)}
+        mult = Counter(kappa)
+        psi = prod(1 - t ** mult[j] for j in range(1, lam[0])
+                   if j + 1 in cols and j not in cols)
+        for x, c in _hall_littlewood(kappa, p).items():
+            x += (sum(lam) - sum(kappa),)
+            out[x] = out.get(x, 0) + psi * c
+    return {x: c for x, c in out.items() if c}
+
+
+def satake_numeric(h: DoubleCosetSum) -> GroupAlgebraElement:
+    """Numeric Satake transform from the Hall-Littlewood closed form.
+
+    The transform of 1_{K p**lam K} has coefficient v**<delta, lam> *
+    [x**a] P_lam(x; 1/p) at exponent chi = -a (Macdonald V (3.3); the
+    exponent sign is convention 1), reduced modulo v**2 - p.  The output
+    is checked to be invariant under the symmetric group permuting the
+    exponents; failure signals an inconsistency and raises.
+    """
     delta = gl_delta(h.n)
     out = {}
-    for g, c in f.terms.items():
-        chi = tuple(-v for v in g.diagonal_valuations())
-        e = sum(d * x for d, x in zip(delta, chi))
-        out[chi] = out.get(chi, Laurent.zero()) + Laurent.v_power(e, c)
+    for lam, c in h.terms.items():
+        e = sum(d * x for d, x in zip(delta, lam))
+        for a, k in _hall_littlewood(lam, h.p).items():
+            chi = tuple(-x for x in a)
+            out[chi] = out.get(chi, Laurent.zero()) + Laurent.v_power(e, c * k)
     result = reduce_mod_v2(GroupAlgebraElement(h.n, out), h.p)
     if not is_weyl_invariant(_gl_reflections(h.n), result):
         raise RuntimeError("numeric Satake image is not Weyl invariant; "

@@ -1,6 +1,8 @@
+import importlib.util
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
@@ -9,22 +11,37 @@ from heckesat.conventions import reflect
 from heckesat.laurent import Laurent
 from heckesat.padic import (
     CosetError,
-    CosetSum,
     DoubleCosetSum,
     EnumerationBoundError,
     PCoset,
     convolve_double,
-    convolve_left_by_double,
     coset_count,
     decompose_double_coset,
-    expand_to_cosets,
     measure_intersection,
     reduce_mod_v2,
     satake_numeric,
-    sigma_to_torus,
 )
 from heckesat.satake import GroupAlgebraElement as G, hecke_polynomial
 from heckesat.rootdata import build_group
+
+from coset_reference import (
+    convolve_left,
+    expand,
+    satake_by_expansion,
+    sigma_to_torus,
+)
+
+
+def _load_bench_hall():
+    """bench/hall.py: Hall polynomials from the symmetrization formula."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "hall.py"
+    spec = importlib.util.spec_from_file_location("hall", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+hall = _load_bench_hall()
 
 
 def rand_type(rng, n, hi=2):
@@ -109,23 +126,22 @@ def test_convolution_enumerates_only_the_smaller_factor(monkeypatch):
 
 def test_convolve_left_unit():
     h = DoubleCosetSum.basis((1, 0), 2, 2)
-    assert convolve_left_by_double(CosetSum.unit(2, 2), h) == \
-        expand_to_cosets(h)
+    assert convolve_left({PCoset.unit(2, 2): Fraction(1)}, h) == expand(h)
 
 
 def test_convolve_left_central():
     g = PCoset.from_matrix([[1, 1], [0, 2]], 2)
     hc = DoubleCosetSum.basis((1, 1), 2, 2)
-    out = convolve_left_by_double(CosetSum.from_coset(g), hc)
-    (gc, c), = out.terms.items()
+    out = convolve_left({g: Fraction(1)}, hc)
+    (gc, c), = out.items()
     assert c == 1 and gc.rep == g.rep and gc.shift == g.shift + 1
 
 
 def test_convolve_left_merges_products():
     g = PCoset.from_matrix([[1, 0], [0, 2]], 2)
     h = DoubleCosetSum.basis((1, 0), 2, 2)
-    out = convolve_left_by_double(CosetSum.from_coset(g), h)
-    assert sum(out.terms.values()) == 3
+    out = convolve_left({g: Fraction(1)}, h)
+    assert sum(out.values()) == 3
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -141,9 +157,9 @@ def product_by_expansion(h1, h2):
     Asserts bi-invariance: each type's cosets are its whole double coset,
     all with one coefficient.
     """
-    f = convolve_left_by_double(expand_to_cosets(h1), h2)
+    f = convolve_left(expand(h1), h2)
     by_type = {}
-    for g, c in f.terms.items():
+    for g, c in f.items():
         by_type.setdefault(g.snf(), {})[g] = c
     out = {}
     for lam, cosets in by_type.items():
@@ -165,6 +181,16 @@ def test_product_of_sums_matches_full_expansion():
     expected = product_by_expansion(h1, h2)
     assert len(expected) > 3
     assert convolve_double(h1, h2).terms == expected
+
+
+@pytest.mark.parametrize("n,hi,primes", [
+    (2, 3, (2, 3, 5, 7)), (3, 2, (2, 3)), (4, 1, (2,))])
+def test_product_matches_hall_polynomials(n, hi, primes):
+    for p in primes:
+        for a, b in combinations_with_replacement(types(n, hi), 2):
+            h1, h2 = (DoubleCosetSum.basis(t, n, p) for t in (a, b))
+            assert convolve_double(h1, h2).terms == \
+                hall.hall_product(a, b, n, p), (a, b, p)
 
 
 def test_convolve_double_rejects_mismatch():
@@ -208,16 +234,17 @@ def test_left_coset_convolution_consistency():
     g1 = PCoset.from_matrix([[2, 1], [0, 1]], 2)
     g2 = PCoset.from_matrix([[1, 0], [0, 2]], 2)
     h = DoubleCosetSum.basis(g2.snf(), 2, 2)
-    out = convolve_left_by_double(CosetSum.from_coset(g1), h)
-    assert sum(out.terms.values()) * measure_intersection(g2) == 1
+    out = convolve_left({g1: Fraction(1)}, h)
+    assert sum(out.values()) * measure_intersection(g2) == 1
 
 
 def test_sigma_to_torus():
-    assert sigma_to_torus(CosetSum.unit(2, 2)) == G.one(2)
+    assert sigma_to_torus({PCoset.unit(2, 2): Fraction(1)}, 2) == G.one(2)
     g = PCoset.from_matrix([[1, 0], [0, 2]], 2)
-    assert sigma_to_torus(CosetSum.from_coset(g)) == G.exp((0, -1))
-    f = expand_to_cosets(DoubleCosetSum.basis((1, 0), 2, 2))
-    assert sigma_to_torus(f) == G.exp((0, -1)) + G.exp((-1, 0), Laurent({0: 2}))
+    assert sigma_to_torus({g: Fraction(1)}, 2) == G.exp((0, -1))
+    f = expand(DoubleCosetSum.basis((1, 0), 2, 2))
+    assert sigma_to_torus(f, 2) == \
+        G.exp((0, -1)) + G.exp((-1, 0), Laurent({0: 2}))
 
 
 def test_satake_unit_and_central():
@@ -230,6 +257,25 @@ def test_satake_tp():
     sat = satake_numeric(DoubleCosetSum.basis((1, 0), 2, 2))
     v = Laurent.v_power(1)
     assert sat == G.exp((0, -1), v) + G.exp((-1, 0), v)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_satake_matches_coset_expansion(p):
+    for n in (1, 2, 3):
+        for lam in types(n, 2):
+            h = DoubleCosetSum.basis(lam, n, p)
+            assert satake_numeric(h) == satake_by_expansion(h), (lam, p)
+    h = DoubleCosetSum(3, p, {(1, 0, 0): 1, (2, 1, 0): Fraction(2, 7),
+                              (2, 2, 2): -3, (1, 1, 0): 5})
+    assert satake_numeric(h) == satake_by_expansion(h)
+
+
+@pytest.mark.parametrize("n,hi", [(2, 4), (3, 3), (4, 2)])
+@pytest.mark.parametrize("p", [2, 3])
+def test_hall_littlewood_matches_symmetrization(n, hi, p):
+    oracle = hall.HallLittlewood(n, Fraction(1, p))
+    for lam in types(n, hi):
+        assert pd._hall_littlewood(lam, p) == oracle.P(lam), lam
 
 
 @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2), (3, 3)])
@@ -268,8 +314,6 @@ def test_double_coset_json_roundtrip():
 def test_constructors_reject_bad_size_or_prime(n, p):
     with pytest.raises(CosetError):
         PCoset(n, p, ((1, 0), (0, 1)))
-    with pytest.raises(CosetError):
-        CosetSum(n, p)
     with pytest.raises(CosetError):
         DoubleCosetSum(n, p)
     with pytest.raises(CosetError):
