@@ -1,18 +1,19 @@
 """Shared sign and normalization conventions.
 
-Every module that touches the torus identification imports its signs
-from here, so exactly one choice exists in the codebase.
+Each convention is documented here once; items 1-2 name the code applying it.
 
 1. Cocharacter vs torus coset.  A cocharacter chi of the diagonal torus
    corresponds to the coset of chi(pi**-1), where pi is the uniformizer.
    Concretely diag(p**v_1, ..., p**v_n) * T(Z_p) is labeled by the
-   exponent chi = (-v_1, ..., -v_n).  ``TORUS_SIGN`` records this.
+   exponent chi = (-v_1, ..., -v_n).  ``padic.satake_numeric`` applies
+   this sign when it reads the monomial x**a as the exponent -a, and
+   ``tests/coset_reference.py`` when it reads off a coset's diagonal.
 
 2. Modulus twist.  The numeric Satake transform multiplies the
    coefficient at exponent chi by v**(<delta, chi>) with delta the sum
-   of positive roots and v**2 = p.  ``DELTA_TWIST_SIGN`` records the
-   exponent sign of that twist; flipping it breaks the homomorphism
-   property, which the test suite uses as the arbiter.
+   of positive roots and v**2 = p.  ``tests/coset_reference.py`` applies
+   this twist coset by coset; ``padic.satake_numeric`` applies it as
+   v**(<delta, lam>) to the whole transform of K p**lam K.
 
 3. Reflection between the two Satake sides.  The symbolic Hecke
    polynomial writes orbit exponentials with dominant (nonnegative)
@@ -33,12 +34,6 @@ from here, so exactly one choice exists in the codebase.
    entries share no p; the exponent c is carried separately and added
    back to diagonal valuations and elementary-divisor types.
 """
-
-# diag(p**v_i) is the image of chi(pi**-1) for chi = -v
-TORUS_SIGN = -1
-
-# coefficient at exponent chi is twisted by v**(DELTA_TWIST_SIGN * <delta, chi>)
-DELTA_TWIST_SIGN = +1
 
 
 def reflect(x):

@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm
+from operator import mul
 
 
 class NormalFormError(ValueError):
@@ -40,7 +41,7 @@ def mat_mul(a, b):
     )
 
 def mat_vec(a, v):
-    return tuple(sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a)))
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def identity(n):

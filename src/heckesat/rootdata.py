@@ -29,6 +29,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .intmat import identity, mat_mul, mat_vec
 
@@ -64,12 +65,13 @@ class RootDatum:
     def simple_coroots(self):
         return tuple(self.coroots[i] for i in self.simple_indices)
 
-    def positive_root_indices(self):
-        return tuple(i for i in range(len(self.roots)) if self.is_positive(i))
+    @cached_property
+    def _positive(self):
+        return tuple(i for i, root in enumerate(self.roots)
+                     if all(c >= 0 for c in self._simple_expansion(root)))
 
-    def is_positive(self, root_index):
-        coeffs = self._simple_expansion(self.roots[root_index])
-        return all(c >= 0 for c in coeffs)
+    def positive_root_indices(self):
+        return self._positive
 
     def _simple_expansion(self, root):
         """Coefficients of a root over the simple roots (exact, unique)."""

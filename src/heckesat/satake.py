@@ -14,7 +14,8 @@ where delta is the sum of positive roots.  This uses the classical fact
 that the weights of the irreducible representation of the dual group
 with minuscule highest weight form a single Weyl orbit with multiplicity
 one, so the characteristic polynomial of t - q^{d/2} r(g) factors over
-the orbit exponentials.
+the orbit exponentials.  Its t**k coefficient is (-1)**(m-k) v**(d(m-k))
+times the elementary symmetric function e_{m-k} of the m orbit exponentials.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .intmat import mat_vec
 from .laurent import Laurent, QuadExt
@@ -79,16 +81,24 @@ class GroupAlgebraElement:
         if self.rank != other.rank:
             raise SatakeError("rank mismatch")
 
+    @classmethod
+    def _trusted(cls, rank, terms):
+        """Wrap int-tuple exponents and Laurent coefficients; drop zeros."""
+        x = cls.__new__(cls)
+        x.rank = rank
+        x.terms = {lam: c for lam, c in terms.items() if not c.is_zero()}
+        return x
+
     def __add__(self, other):
         self._check(other)
         d = dict(self.terms)
         for lam, c in other.terms.items():
-            d[lam] = d.get(lam, Laurent.zero()) + c
-        return GroupAlgebraElement(self.rank, d)
+            d[lam] = d[lam] + c if lam in d else c
+        return GroupAlgebraElement._trusted(self.rank, d)
 
     def __neg__(self):
-        return GroupAlgebraElement(self.rank,
-                                   {lam: -c for lam, c in self.terms.items()})
+        return GroupAlgebraElement._trusted(
+            self.rank, {lam: -c for lam, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -100,17 +110,17 @@ class GroupAlgebraElement:
         d = {}
         for l1, c1 in self.terms.items():
             for l2, c2 in other.terms.items():
-                lam = tuple(a + b for a, b in zip(l1, l2))
-                d[lam] = d.get(lam, Laurent.zero()) + c1 * c2
-        return GroupAlgebraElement(self.rank, d)
+                lam = tuple(map(add, l1, l2))
+                d[lam] = d[lam] + c1 * c2 if lam in d else c1 * c2
+        return GroupAlgebraElement._trusted(self.rank, d)
 
     __rmul__ = __mul__
 
     def scale(self, c):
         if not isinstance(c, Laurent):
             c = Laurent.from_scalar(c)
-        return GroupAlgebraElement(self.rank,
-                                   {lam: k * c for lam, k in self.terms.items()})
+        return GroupAlgebraElement._trusted(
+            self.rank, {lam: k * c for lam, k in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, GroupAlgebraElement):
@@ -136,11 +146,10 @@ def weyl_act(w, x: GroupAlgebraElement) -> GroupAlgebraElement:
     """Apply a Weyl matrix to every exponent; a ring automorphism."""
     if len(w) != x.rank:
         raise SatakeError("rank mismatch between Weyl matrix and element")
-    d = {}
-    for lam, c in x.terms.items():
-        img = mat_vec(w, lam)
-        d[img] = d.get(img, Laurent.zero()) + c
-    return GroupAlgebraElement(x.rank, d)
+    d = {mat_vec(w, lam): c for lam, c in x.terms.items()}
+    if len(d) != len(x.terms):
+        raise SatakeError("Weyl matrix is singular: two exponents collide")
+    return GroupAlgebraElement._trusted(x.rank, d)
 
 
 def is_weyl_invariant(gens, x: GroupAlgebraElement) -> bool:
@@ -148,8 +157,12 @@ def is_weyl_invariant(gens, x: GroupAlgebraElement) -> bool:
 
     Then the whole group they generate fixes x, so passing
     ``simple_reflections(rd)`` tests invariance under the Weyl group.
+    A Weyl matrix permutes exponents, so g fixes x iff x has the
+    coefficient c at g.lam for every term c e^lam; no element is built.
     """
-    return all(weyl_act(g, x) == x for g in gens)
+    terms = x.terms
+    return all(terms.get(mat_vec(g, lam)) == c
+               for g in gens for lam, c in terms.items())
 
 
 @dataclass(frozen=True)
@@ -162,7 +175,13 @@ class HeckePolynomialSatake:
 
 
 def hecke_polynomial(rd: RootDatum, mu) -> HeckePolynomialSatake:
-    """Expand prod_{lam in W.mu} (t - v**d e^lam) by powers of t."""
+    """Expand prod_{lam in W.mu} (t - v**d e^lam) by powers of t.
+
+    Every factor has the scalar v**d, so only the elementary symmetric
+    functions e_j of the orbit exponentials are expanded, on {exponent: int}
+    maps by e_j += e^lam e_{j-1} (j descending); then the t**k coefficient
+    is (-1)**(m-k) v**(d(m-k)) e_{m-k}, m = |W.mu|.
+    """
     mu = tuple(mu)
     if not is_minuscule(rd, mu):
         raise SatakeError(f"{mu} is not minuscule for {rd.name}")
@@ -170,17 +189,20 @@ def hecke_polynomial(rd: RootDatum, mu) -> HeckePolynomialSatake:
     gens = simple_reflections(rd)
     orb = sorted(orbit(gens, mu))
     d = rd.pairing(rd.delta(), mu)
-    vd = Laurent.v_power(d)
-    # coeffs[k] = coefficient of t**k, built by repeated multiplication
-    coeffs = [GroupAlgebraElement.one(rd.rank)]
-    for lam in orb:
-        root = GroupAlgebraElement.exp(lam, vd)
-        new = [GroupAlgebraElement.zero(rd.rank) for _ in range(len(coeffs) + 1)]
-        for k, c in enumerate(coeffs):
-            new[k + 1] = new[k + 1] + c
-            new[k] = new[k] - root * c
-        coeffs = new
-    H = HeckePolynomialSatake(mu, d, len(orb), tuple(coeffs), rd.rank)
+    m = len(orb)
+    e = [{(0,) * rd.rank: 1}] + [{} for _ in orb]
+    for j, lam in enumerate(orb, 1):
+        for i in range(j, 0, -1):
+            upper = e[i]
+            for key, c in e[i - 1].items():
+                key = tuple(map(add, key, lam))
+                upper[key] = upper.get(key, 0) + c
+    coeffs = tuple(
+        GroupAlgebraElement._trusted(rd.rank, {
+            lam: Laurent.v_power(d * (m - k), (-1) ** (m - k) * c)
+            for lam, c in e[m - k].items()})
+        for k in range(m + 1))
+    H = HeckePolynomialSatake(mu, d, m, coeffs, rd.rank)
     _validate_polynomial(rd, gens, H)
     return H
 

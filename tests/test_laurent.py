@@ -1,6 +1,12 @@
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from heckesat.laurent import Laurent, QuadExt
+
+scalars = st.integers(-5, 5) | st.fractions(-3, 3, max_denominator=4)
+laurents = st.dictionaries(st.integers(-3, 3), scalars,
+                           max_size=3).map(Laurent)
 
 
 def test_zero_and_one():
@@ -74,3 +80,25 @@ def test_quadext_mixed_primes_rejected():
     import pytest
     with pytest.raises(ValueError):
         QuadExt(1, 1, 2) + QuadExt(1, 1, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurents, laurents, laurents)
+def test_laurent_ring_laws(x, y, z):
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z) and (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert (x - x).coeffs == {}
+    for r in (x + y, x - y, x * y, x.scale(2)):
+        assert 0 not in r.coeffs.values()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((2, 3, 5)), st.data())
+def test_quad_ext_ring_laws(p, data):
+    x, y, z = (QuadExt(data.draw(scalars), data.draw(scalars), p)
+               for _ in range(3))
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z) and (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x - x == QuadExt(0, 0, p)

@@ -1,16 +1,21 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckesat import satake as sk
+from heckesat.cli import ALL_GROUPS
 from heckesat.laurent import Laurent, QuadExt
 from heckesat.rootdata import (
     build_group,
+    dominant_representative,
     enumerate_dominant_minuscule,
     named_cocharacter,
     orbit,
     parabolic_data,
+    simple_reflections,
     weyl_group,
 )
 from heckesat.satake import (
@@ -53,6 +58,8 @@ def test_is_weyl_invariant():
     assert is_weyl_invariant(w.generators, G.one(2))
     assert is_weyl_invariant(w.generators, G.exp((1, 0)) + G.exp((0, 1)))
     assert not is_weyl_invariant(w.generators, G.exp((1, 0)))
+    assert not is_weyl_invariant(w.generators,
+                                 G.exp((1, 0)) + G.exp((0, 1), 2))
 
 
 def test_gl2_hecke_polynomial_exact():
@@ -168,3 +175,133 @@ def test_polynomial_json_roundtrip():
     s1 = sk.polynomial_to_json(H)
     s2 = sk.polynomial_to_json(sk.polynomial_from_json(s1))
     assert s1 == s2
+
+
+# ---------------------------------------------------------------------------
+# the elementary-symmetric construction of hecke_polynomial
+
+def _dominant_minuscule_cases(names):
+    return [(name, mu) for name in names
+            for mu in enumerate_dominant_minuscule(build_group(name))]
+
+
+REFERENCE_CASES = (
+    _dominant_minuscule_cases(ALL_GROUPS + ("GL(5)", "GSp(8)", "GSpin(9)"))
+    + [("GSO(10)", (1, 0, 0, 0, 0, 0))])  # vector
+CLOSED_FORM_CASES = REFERENCE_CASES + [  # and the two GSO(10) half-spins
+    ("GSO(10)", (1, 1, 1, 1, 0, 1)), ("GSO(10)", (1, 1, 1, 1, 1, 1))]
+
+
+def _expand_by_multiplication(rd, mu):
+    """prod_{lam in W.mu} (t - v**d e^lam), one linear factor at a time.
+
+    Returns the coefficients of t**0, t**1, ... as group algebra elements.
+    """
+    mu = dominant_representative(rd, mu)
+    vd = Laurent.v_power(rd.pairing(rd.delta(), mu))
+    coeffs = [G.one(rd.rank)]
+    for lam in sorted(orbit(simple_reflections(rd), mu)):
+        root = G.exp(lam, vd)
+        new = [G.zero(rd.rank) for _ in range(len(coeffs) + 1)]
+        for k, c in enumerate(coeffs):
+            new[k + 1] = new[k + 1] + c
+            new[k] = new[k] - root * c
+        coeffs = new
+    return coeffs
+
+
+def _case_ids(cases):
+    return [f"{name}-{''.join(map(str, mu))}" for name, mu in cases]
+
+
+@pytest.mark.parametrize("name, mu", REFERENCE_CASES,
+                         ids=_case_ids(REFERENCE_CASES))
+def test_hecke_polynomial_matches_repeated_multiplication(name, mu):
+    rd = build_group(name)
+    H = hecke_polynomial(rd, mu)
+    expected = _expand_by_multiplication(rd, mu)
+    assert H.degree == len(expected) - 1
+    for k, (got, want) in enumerate(zip(H.coefficients, expected)):
+        assert got == want, f"coefficient of t**{k}"
+
+
+@pytest.mark.parametrize("name, mu", CLOSED_FORM_CASES,
+                         ids=_case_ids(CLOSED_FORM_CASES))
+def test_hecke_polynomial_at_unit_exponentials(name, mu):
+    # every e^lam := 1 turns H into (t - v**d)**m
+    rd = build_group(name)
+    H = hecke_polynomial(rd, mu)
+    m = H.degree
+    assert m == len(orbit(simple_reflections(rd), mu))
+    for k, c in enumerate(H.coefficients):
+        e = H.d * (m - k)
+        assert all(set(lau.coeffs) == {e} for lau in c.terms.values())
+        assert sum(lau.coeffs[e] for lau in c.terms.values()) == \
+            (-1) ** (m - k) * comb(m, k)
+
+
+@pytest.mark.parametrize("name, alias", [("GL(2)", "std"),
+                                         ("GSp(4)", "siegel"),
+                                         ("GSpin(7)", "spin")])
+def test_dropped_orbit_element_is_caught(monkeypatch, name, alias):
+    rd = build_group(name)
+    full_orbit = sk.orbit
+    monkeypatch.setattr(sk, "orbit",
+                        lambda gens, mu: set(sorted(full_orbit(gens, mu))[1:]))
+    with pytest.raises(SatakeError, match="non-Weyl-invariant"):
+        hecke_polynomial(rd, named_cocharacter(rd, alias))
+
+
+def test_weyl_act_rejects_singular_matrix():
+    x = G.exp((1, 0)) + G.exp((0, 1))
+    with pytest.raises(SatakeError, match="singular"):
+        weyl_act(((1, 1), (0, 0)), x)
+
+
+def test_cancellation_stores_no_zero_coefficient():
+    a, b, v = G.exp((1, 0)), G.exp((0, 1)), Laurent.v_power(1)
+    product = (a + b) * (a - b)  # the e^(1,1) terms cancel
+    assert set(product.terms) == {(2, 0), (0, 2)}
+    for x in (product, G.exp((1, 0), v) + G.exp((1, 0), -v),
+              (a + b) - b - a, a.scale(0), a * 0, (a - a) * b):
+        assert all(not c.is_zero() for c in x.terms.values())
+
+
+# ---------------------------------------------------------------------------
+# ring laws of the group algebra (Hypothesis)
+
+GSP4_GENS = simple_reflections(build_group("GSp(4)"))  # rank 3
+coefficients = st.dictionaries(
+    st.integers(-2, 2),
+    st.integers(-3, 3) | st.fractions(-2, 2, max_denominator=3),
+    max_size=2).map(Laurent)
+elements = st.dictionaries(st.tuples(*[st.integers(-1, 1)] * 3), coefficients,
+                           max_size=3).map(lambda t: G(3, t))
+
+
+def _normalized(x):
+    return all(isinstance(c, Laurent) and not c.is_zero()
+               for c in x.terms.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements, elements, elements)
+def test_group_algebra_ring_law_properties(x, y, z):
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z) and (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert (x - x).terms == {}
+    assert all(_normalized(r) for r in (x + y, x - y, x * y, -x,
+                                        x.scale(Laurent.v_power(1))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements)
+def test_weyl_invariance_matches_the_action(x):
+    for g in GSP4_GENS:
+        assert is_weyl_invariant((g,), x) == (weyl_act(g, x) == x)
+        assert is_weyl_invariant((g,), x + weyl_act(g, x))
+        # same exponents as the invariant x + g.x, invariant iff g.x == x
+        assert is_weyl_invariant((g,), x + weyl_act(g, x).scale(2)) == \
+            (weyl_act(g, x) == x)
+        assert _normalized(weyl_act(g, x))
