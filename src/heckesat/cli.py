@@ -6,8 +6,9 @@ Exit codes, chosen by exception type:
 * 1 -- verification failure, including a suite that ran no checks;
 * 2 -- usage error: bad group, cocharacter, type, size n, prime p or
   curve (the library's ValueError subclasses);
-* 3 -- resource bound exceeded: coset enumeration, or a finite field
-  above the counting bound;
+* 3 -- resource bound exceeded: coset enumeration, a finite field
+  above the counting bound, or a Hecke polynomial whose elementary
+  symmetric functions exceed ``satake.TERM_BOUND`` terms;
 * 4 -- internal error: a failed internal-consistency check (a
   RuntimeError) or any other exception, reported on one line.
 
@@ -309,7 +310,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (EnumerationBoundError, elliptic.CountBoundError) as exc:
+    except (EnumerationBoundError, elliptic.CountBoundError,
+            satake.TermBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
     except ValueError as exc:

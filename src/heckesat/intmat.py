@@ -44,6 +44,37 @@ def mat_vec(a, v):
     return tuple(sum(map(mul, row, v)) for row in a)
 
 
+def moved_rows(g):
+    """The nonzero entries of g - 1, by row: ((i, ((j, entry), ...)), ...).
+
+    g.v = v + (g - 1) v changes v only in these rows.  For a reflection
+    x - <a, x> a^v they are the rows where a^v is nonzero, and each holds
+    the nonzero entries of a, so moving a vector reads only those entries,
+    not all rank**2 entries of g.
+    """
+    out = []
+    for i, row in enumerate(g):
+        entries = tuple((j, x - (i == j)) for j, x in enumerate(row)
+                        if x != (i == j))
+        if entries:
+            out.append((i, entries))
+    return tuple(out)
+
+
+def apply_moved(rows, v):
+    """g.v from ``moved_rows(g)``; returns v itself when g fixes v."""
+    out = None
+    for i, entries in rows:
+        s = 0
+        for j, x in entries:
+            s += x * v[j]
+        if s:
+            if out is None:
+                out = list(v)
+            out[i] += s
+    return v if out is None else tuple(out)
+
+
 def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .intmat import identity, mat_mul, mat_vec
+from .intmat import apply_moved, identity, mat_mul, mat_vec, moved_rows
 
 Vector = tuple
 
@@ -66,42 +66,46 @@ class RootDatum:
         return tuple(self.coroots[i] for i in self.simple_indices)
 
     @cached_property
+    def _root_expansions(self):
+        """Coefficients of every root over the simple roots, in root order.
+
+        One Gauss-Jordan elimination over Q with every root as a right-hand
+        side; raises RootDatumError if a root is outside their span.
+        """
+        k, n = len(self.simple_indices), self.rank
+        basis = self.simple_roots
+        rows = [[Fraction(v[i]) for v in basis + self.roots] for i in range(n)]
+        pivots = []
+        for j in range(k):
+            r0 = len(pivots)
+            piv = next((r for r in range(r0, n) if rows[r][j] != 0), None)
+            if piv is None:
+                continue
+            rows[r0], rows[piv] = rows[piv], rows[r0]
+            pv = rows[r0][j]
+            rows[r0] = [x / pv for x in rows[r0]]
+            for r in range(n):
+                f = rows[r][j]
+                if r != r0 and f != 0:
+                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[r0])]
+            pivots.append(j)
+        if any(x != 0 for row in rows[len(pivots):] for x in row[k:]):
+            raise RootDatumError("root outside the span of simple roots")
+        out = []
+        for t in range(k, k + len(self.roots)):
+            sol = [Fraction(0)] * k
+            for r, j in enumerate(pivots):
+                sol[j] = rows[r][t]
+            out.append(tuple(sol))
+        return tuple(out)
+
+    @cached_property
     def _positive(self):
-        return tuple(i for i, root in enumerate(self.roots)
-                     if all(c >= 0 for c in self._simple_expansion(root)))
+        return tuple(i for i, c in enumerate(self._root_expansions)
+                     if all(x >= 0 for x in c))
 
     def positive_root_indices(self):
         return self._positive
-
-    def _simple_expansion(self, root):
-        """Coefficients of a root over the simple roots (exact, unique)."""
-        basis = self.simple_roots
-        k = len(basis)
-        # Solve sum c_j * basis_j = root by Gaussian elimination over Q.
-        rows = [[Fraction(basis[j][i]) for j in range(k)] + [Fraction(root[i])]
-                for i in range(self.rank)]
-        col = 0
-        pivots = []
-        for j in range(k):
-            piv = next((r for r in range(col, self.rank) if rows[r][j] != 0), None)
-            if piv is None:
-                continue
-            rows[col], rows[piv] = rows[piv], rows[col]
-            pv = rows[col][j]
-            rows[col] = [x / pv for x in rows[col]]
-            for r in range(self.rank):
-                if r != col and rows[r][j] != 0:
-                    f = rows[r][j]
-                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-            pivots.append(j)
-            col += 1
-        sol = [Fraction(0)] * k
-        for r, j in enumerate(pivots):
-            sol[j] = rows[r][k]
-        for r in range(col, self.rank):
-            if rows[r][k] != 0:
-                raise RootDatumError("root outside the span of simple roots")
-        return sol
 
     def delta(self):
         """Sum of all positive roots (an X*-vector)."""
@@ -157,8 +161,7 @@ def validate(rd: RootDatum):
         for bv in rd.coroots:
             if mat_vec(s_costar, bv) not in corootset:
                 raise RootDatumError("simple reflection does not permute coroots")
-    for i in range(len(rd.roots)):
-        coeffs = rd._simple_expansion(rd.roots[i])
+    for coeffs in rd._root_expansions:
         if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
             raise RootDatumError("root with mixed-sign simple expansion")
     # Cartan integers of simple pairs
@@ -440,13 +443,14 @@ def orbit(gens, mu):
     cocharacter; no group element beyond the generators is formed.
     """
     mu = tuple(mu)
+    gens = tuple(map(moved_rows, gens))
     seen = {mu}
     frontier = [mu]
     while frontier:
         nxt = []
         for x in frontier:
-            for g in gens:
-                y = mat_vec(g, x)
+            for rows in gens:
+                y = apply_moved(rows, x)
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from .intmat import mat_vec
+from .intmat import apply_moved, moved_rows
 from .laurent import Laurent, QuadExt
 from .rootdata import (
     ParabolicData,
@@ -38,7 +38,14 @@ from .rootdata import (
 )
 
 
+TERM_BOUND = 10 ** 6  # most e_j terms one Hecke polynomial may hold
+
+
 class SatakeError(ValueError):
+    pass
+
+
+class TermBoundError(RuntimeError):
     pass
 
 
@@ -146,7 +153,8 @@ def weyl_act(w, x: GroupAlgebraElement) -> GroupAlgebraElement:
     """Apply a Weyl matrix to every exponent; a ring automorphism."""
     if len(w) != x.rank:
         raise SatakeError("rank mismatch between Weyl matrix and element")
-    d = {mat_vec(w, lam): c for lam, c in x.terms.items()}
+    rows = moved_rows(w)
+    d = {apply_moved(rows, lam): c for lam, c in x.terms.items()}
     if len(d) != len(x.terms):
         raise SatakeError("Weyl matrix is singular: two exponents collide")
     return GroupAlgebraElement._trusted(x.rank, d)
@@ -158,11 +166,16 @@ def is_weyl_invariant(gens, x: GroupAlgebraElement) -> bool:
     Then the whole group they generate fixes x, so passing
     ``simple_reflections(rd)`` tests invariance under the Weyl group.
     A Weyl matrix permutes exponents, so g fixes x iff x has the
-    coefficient c at g.lam for every term c e^lam; no element is built.
+    coefficient c at g.lam for every term c e^lam; no element is built,
+    and a term that g fixes needs no lookup.
     """
     terms = x.terms
-    return all(terms.get(mat_vec(g, lam)) == c
-               for g in gens for lam, c in terms.items())
+    for rows in map(moved_rows, gens):
+        for lam, c in terms.items():
+            img = apply_moved(rows, lam)
+            if img is not lam and terms.get(img) != c:
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -180,7 +193,8 @@ def hecke_polynomial(rd: RootDatum, mu) -> HeckePolynomialSatake:
     Every factor has the scalar v**d, so only the elementary symmetric
     functions e_j of the orbit exponentials are expanded, on {exponent: int}
     maps by e_j += e^lam e_{j-1} (j descending); then the t**k coefficient
-    is (-1)**(m-k) v**(d(m-k)) e_{m-k}, m = |W.mu|.
+    is (-1)**(m-k) v**(d(m-k)) e_{m-k}, m = |W.mu|.  Raises TermBoundError
+    as soon as the maps hold more than TERM_BOUND terms in all.
     """
     mu = tuple(mu)
     if not is_minuscule(rd, mu):
@@ -191,12 +205,19 @@ def hecke_polynomial(rd: RootDatum, mu) -> HeckePolynomialSatake:
     d = rd.pairing(rd.delta(), mu)
     m = len(orb)
     e = [{(0,) * rd.rank: 1}] + [{} for _ in orb]
+    total = 1
     for j, lam in enumerate(orb, 1):
         for i in range(j, 0, -1):
             upper = e[i]
+            total -= len(upper)
             for key, c in e[i - 1].items():
                 key = tuple(map(add, key, lam))
                 upper[key] = upper.get(key, 0) + c
+            total += len(upper)
+            if total > TERM_BOUND:
+                raise TermBoundError(
+                    f"the Hecke polynomial of {rd.name} at {mu} needs more "
+                    f"than the bound of {TERM_BOUND} e_j terms")
     coeffs = tuple(
         GroupAlgebraElement._trusted(rd.rank, {
             lam: Laurent.v_power(d * (m - k), (-1) ** (m - k) * c)
@@ -221,22 +242,34 @@ def _validate_polynomial(rd, gens, H):
             )
 
 
-def evaluate_polynomial(H: HeckePolynomialSatake, x: GroupAlgebraElement):
-    """Substitute t := x into the expanded coefficient form."""
-    out = GroupAlgebraElement.zero(H.rank)
-    power = GroupAlgebraElement.one(H.rank)
-    for c in H.coefficients:
-        out = out + c * power
-        power = power * x
-    return out
-
-
 def evaluate_vanishing(H: HeckePolynomialSatake,
                        lam=None) -> GroupAlgebraElement:
-    """Substitute t := v**d e^lam (default lam = mu); contract: zero."""
-    lam = tuple(lam) if lam is not None else H.mu
-    return evaluate_polynomial(
-        H, GroupAlgebraElement.exp(lam, Laurent.v_power(H.d)))
+    """Substitute t := v**d e^lam (default lam = mu); contract: zero.
+
+    H(v**d e^lam) = sum_k c_k v**(dk) e^(k lam) is summed on one flat
+    {(exponent, v-power): coefficient} map that drops each entry the
+    moment it cancels, so nothing is left when H vanishes at lam.
+    """
+    lam = tuple(int(x) for x in lam) if lam is not None else H.mu
+    if len(lam) != H.rank:
+        raise SatakeError("rank mismatch")
+    acc = {}
+    for k, c in enumerate(H.coefficients):
+        shift = tuple(k * x for x in lam)
+        for nu, lau in c.terms.items():
+            nu = tuple(map(add, nu, shift))
+            for e, a in lau.coeffs.items():
+                key = (nu, e + H.d * k)
+                a += acc.get(key, 0)
+                if a:
+                    acc[key] = a
+                else:
+                    del acc[key]
+    out = {}
+    for (nu, e), a in acc.items():
+        out.setdefault(nu, {})[e] = a
+    return GroupAlgebraElement._trusted(
+        H.rank, {nu: Laurent(coeffs) for nu, coeffs in out.items()})
 
 
 def restrict_to_levi(H: HeckePolynomialSatake, rd: RootDatum,

@@ -59,6 +59,16 @@ def test_convolve_bound_exit_code(capsys, monkeypatch):
     assert code == 3 and "bound" in err
 
 
+def test_hecke_poly_term_bound_exit_code(capsys, monkeypatch):
+    from heckesat import satake
+    monkeypatch.setattr(satake, "TERM_BOUND", 14)  # GSp(4) siegel needs 15
+    code, out, err = run(capsys, "hecke-poly", "--group", "GSp4",
+                         "--mu", "siegel")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "bound" in err
+    assert err.count("\n") == 1
+
+
 def test_verify_suites_pass(capsys):
     for argv in (
         ["verify", "prop33", "--all-groups"],

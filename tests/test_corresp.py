@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckesat.corresp import (
     Correspondence,
@@ -112,3 +113,32 @@ def test_json_roundtrip():
     ps = FinitePointSet(3, (1, 2, 0), 7, 3)
     c = Correspondence(ps, ps, ((1, 0, -2), (0, 3, 0), (5, 0, 0)))
     assert corr_from_json(corr_to_json(c)) == c
+
+
+def _order(perm):
+    k, out = 1, perm
+    while out != tuple(range(len(perm))):
+        k, out = k + 1, tuple(perm[i] for i in out)
+    return k
+
+
+@st.composite
+def correspondences(draw):
+    perms = st.integers(1, 4).flatmap(
+        lambda n: st.permutations(range(n)).map(tuple))
+    source, target = (
+        FinitePointSet(len(p), p, draw(st.sampled_from((2, 3, 5))),
+                       _order(p) * draw(st.integers(1, 2)))
+        for p in (draw(perms), draw(perms)))
+    weights = draw(st.lists(st.lists(st.integers(-5, 5), min_size=target.size,
+                                     max_size=target.size).map(tuple),
+                            min_size=source.size, max_size=source.size))
+    return Correspondence(source, target, tuple(weights))
+
+
+@settings(max_examples=50, deadline=None)
+@given(correspondences())
+def test_json_roundtrip_property(c):
+    text = corr_to_json(c)
+    back = corr_from_json(text)
+    assert back == c and corr_to_json(back) == text

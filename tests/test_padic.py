@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckesat import padic as pd
 from heckesat.conventions import reflect
@@ -308,6 +309,24 @@ def test_coset_equal_wrapper():
 def test_double_coset_json_roundtrip():
     h = DoubleCosetSum(2, 3, {(2, 0): Fraction(1, 2), (1, 1): 3})
     assert pd.double_coset_sum_from_json(pd.double_coset_sum_to_json(h)) == h
+
+
+@st.composite
+def double_coset_sums(draw):
+    n = draw(st.integers(1, 3))
+    types = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(
+        lambda t: tuple(sorted(t, reverse=True)))
+    coeffs = st.integers(-4, 4) | st.fractions(-3, 3, max_denominator=5)
+    return DoubleCosetSum(n, draw(st.sampled_from((2, 3, 5))),
+                          draw(st.dictionaries(types, coeffs, max_size=4)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(double_coset_sums())
+def test_double_coset_json_roundtrip_property(h):
+    text = pd.double_coset_sum_to_json(h)
+    back = pd.double_coset_sum_from_json(text)
+    assert back == h and pd.double_coset_sum_to_json(back) == text
 
 
 @pytest.mark.parametrize("n,p", [(2, 4), (2, 1), (2, 0), (2, -3), (0, 2)])

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckesat import rootdata as rdm
 from heckesat.cli import ALL_GROUPS
@@ -142,6 +143,64 @@ def test_json_roundtrip():
     for name in GROUPS:
         rd = build_group(name)
         assert rdm.from_json(rdm.to_json(rd)) == rd
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(("GL", "SL", "GSp", "GSO", "GSpin")),
+       st.integers(1, 4), st.booleans())
+def test_json_roundtrip_property(family, k, dualize):
+    size = {"GL": k, "SL": k + 1, "GSp": 2 * k, "GSO": 2 * k + 2,
+            "GSpin": 2 * k + 1}[family]
+    rd = build_group(f"{family}({size})")
+    if dualize:
+        rd = dual(rd)
+    text = rdm.to_json(rd)
+    back = rdm.from_json(text)
+    assert back == rd and rdm.to_json(back) == text
+
+
+def _gsp4_dict():
+    return rdm.to_dict(build_group("GSp(4)"))
+
+
+def _root_index(d, root):
+    return d["roots"].index(list(root))
+
+
+def test_validate_rejects_root_outside_simple_span():
+    d = _gsp4_dict()
+    d["simple_indices"] = [_root_index(d, (1, -1, 0))]  # alpha_1 alone
+    with pytest.raises(RootDatumError, match="outside the span"):
+        rdm.from_dict(d)
+
+
+def test_validate_rejects_mixed_sign_expansion():
+    # {alpha_1, alpha_1 + alpha_2} spans, but alpha_2 is their difference
+    d = _gsp4_dict()
+    d["simple_indices"] = [_root_index(d, (1, -1, 0)),
+                           _root_index(d, (1, 1, -1))]
+    with pytest.raises(RootDatumError, match="mixed-sign"):
+        rdm.from_dict(d)
+
+
+def test_validate_rejects_reflection_that_does_not_permute_roots():
+    # eps_1 + eps_2 - eta -> eps_1 + eps_2 + eta keeps <a, a^> = 2, but
+    # s_{alpha_2}(alpha_1) = alpha_1 + alpha_2 is then no longer a root
+    d = _gsp4_dict()
+    d["roots"][_root_index(d, (1, 1, -1))] = [1, 1, 1]
+    with pytest.raises(RootDatumError, match="does not permute roots"):
+        rdm.from_dict(d)
+
+
+def test_unedited_gsp4_dict_is_accepted():
+    assert rdm.from_dict(_gsp4_dict()) == build_group("GSp(4)")
+
+
+@pytest.mark.parametrize("name", ALL_GROUPS + ("GL(5)", "GSp(8)", "GSpin(9)",
+                                               "GSO(10)"))
+def test_positive_roots_are_the_first_half(name):
+    rd = build_group(name)
+    assert rd.positive_root_indices() == tuple(range(len(rd.roots) // 2))
 
 
 def test_sl_realization():

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -20,6 +21,7 @@ from heckesat.rootdata import (
 )
 from heckesat.satake import (
     GroupAlgebraElement as G,
+    HeckePolynomialSatake,
     SatakeError,
     SatakeParameterSymmetric,
     evaluate_vanishing,
@@ -168,6 +170,58 @@ def test_specialize_missing_orbit_raises():
         specialize(H, SatakeParameterSymmetric({(1, 1): 1}, 5), rd)
 
 
+def evaluate_polynomial(H, x):
+    """Substitute t := x into the coefficient form by group algebra
+    products; the reference for ``evaluate_vanishing``."""
+    out = G.zero(H.rank)
+    power = G.one(H.rank)
+    for c in H.coefficients:
+        out = out + c * power
+        power = power * x
+    return out
+
+
+def _substitute(H, lam):
+    return evaluate_polynomial(H, G.exp(lam, Laurent.v_power(H.d)))
+
+
+@pytest.mark.parametrize("name, alias", [("GL(3)", "std"),
+                                         ("GSp(4)", "siegel"),
+                                         ("GSpin(7)", "spin"),
+                                         ("GSO(8)", "half-spin")])
+def test_evaluate_vanishing_matches_reference(name, alias):
+    rd = build_group(name)
+    mu = named_cocharacter(rd, alias)
+    H = hecke_polynomial(rd, mu)
+    orb = orbit(simple_reflections(rd), mu)
+    for lam in sorted(orb):
+        got = evaluate_vanishing(H, lam)
+        assert got == _substitute(H, lam) and got.is_zero()
+    # off the orbit H(v**d e^lam) = prod (v**d e^lam - v**d e^nu) != 0
+    for lam in ((0,) * rd.rank, tuple(2 * x for x in mu),
+                mu[:-1] + (mu[-1] - 1,)):
+        assert lam not in orb
+        got = evaluate_vanishing(H, lam)
+        assert got == _substitute(H, lam) and not got.is_zero()
+
+
+def test_evaluate_vanishing_on_loaded_polynomial():
+    # d = 1, lam = (1, 0): c_1 v e^lam = (1/2 v + 3 v**3) e^(1, 0), and c_0
+    # cancels its v-term, leaving 3 v**3 e^(1, 0) + 2/3 v**-1 e^(0, 1)
+    H = sk.polynomial_from_json(json.dumps({
+        "mu": [1, 0], "d": 1, "degree": 1, "rank": 2,
+        "coefficients": [
+            [[[1, 0], [[1, [-1, 2]]]], [[0, 1], [[-1, [2, 3]]]]],
+            [[[0, 0], [[0, [1, 2]], [2, [3, 1]]]]]]}))
+    expected = (G.exp((1, 0), Laurent.v_power(3, 3))
+                + G.exp((0, 1), Laurent.v_power(-1, Fraction(2, 3))))
+    assert evaluate_vanishing(H, (1, 0)) == _substitute(H, (1, 0)) == expected
+    assert evaluate_vanishing(H) == expected
+    assert evaluate_vanishing(H, (0, 1)) == _substitute(H, (0, 1))
+    with pytest.raises(SatakeError, match="rank"):
+        evaluate_vanishing(H, (1, 0, 0))
+
+
 def test_polynomial_json_roundtrip():
     rd = build_group("GSp(4)")
     H = hecke_polynomial(rd, named_cocharacter(rd, "siegel"))
@@ -252,6 +306,16 @@ def test_dropped_orbit_element_is_caught(monkeypatch, name, alias):
         hecke_polynomial(rd, named_cocharacter(rd, alias))
 
 
+def test_term_bound_counts_every_elementary_symmetric_term(monkeypatch):
+    # the orbit of (1, 0, 0) has 3 elements: e_0..e_3 hold 1 + 3 + 3 + 1 terms
+    rd = build_group("GL(3)")
+    monkeypatch.setattr(sk, "TERM_BOUND", 8)
+    assert hecke_polynomial(rd, (1, 0, 0)).degree == 3
+    monkeypatch.setattr(sk, "TERM_BOUND", 7)
+    with pytest.raises(sk.TermBoundError, match="bound of 7"):
+        hecke_polynomial(rd, (1, 0, 0))
+
+
 def test_weyl_act_rejects_singular_matrix():
     x = G.exp((1, 0)) + G.exp((0, 1))
     with pytest.raises(SatakeError, match="singular"):
@@ -295,13 +359,40 @@ def test_group_algebra_ring_law_properties(x, y, z):
                                         x.scale(Laurent.v_power(1))))
 
 
+NON_REFLECTIONS = (((0, 0, 1), (1, 0, 0), (0, 1, 0)),  # 3-cycle: 3 moved rows
+                   ((1, 1, 0), (0, 1, 0), (0, 0, 1)))  # shear: infinite order
+
+
 @settings(max_examples=100, deadline=None)
 @given(elements)
 def test_weyl_invariance_matches_the_action(x):
+    for g in GSP4_GENS + NON_REFLECTIONS:
+        gx = weyl_act(g, x)
+        assert is_weyl_invariant((g,), x) == (gx == x)
+        assert _normalized(gx)
     for g in GSP4_GENS:
-        assert is_weyl_invariant((g,), x) == (weyl_act(g, x) == x)
         assert is_weyl_invariant((g,), x + weyl_act(g, x))
         # same exponents as the invariant x + g.x, invariant iff g.x == x
         assert is_weyl_invariant((g,), x + weyl_act(g, x).scale(2)) == \
             (weyl_act(g, x) == x)
-        assert _normalized(weyl_act(g, x))
+    cycle = NON_REFLECTIONS[0]
+    gx = weyl_act(cycle, x)
+    assert is_weyl_invariant((cycle,), x + gx + weyl_act(cycle, gx))
+    assert weyl_act(cycle, weyl_act(cycle, gx)) == x
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(elements, min_size=1, max_size=3),
+       st.tuples(*[st.integers(-2, 2)] * 3), st.integers(0, 6))
+def test_polynomial_json_roundtrip_property(coeffs, mu, d):
+    H = HeckePolynomialSatake(mu, d, len(coeffs) - 1, tuple(coeffs), 3)
+    assert sk.polynomial_from_json(sk.polynomial_to_json(H)) == H
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(elements, min_size=1, max_size=3),
+       st.tuples(*[st.integers(-2, 2)] * 3), st.integers(0, 3))
+def test_evaluate_vanishing_matches_reference_property(coeffs, lam, d):
+    H = HeckePolynomialSatake((0, 0, 0), d, len(coeffs) - 1, tuple(coeffs), 3)
+    got = evaluate_vanishing(H, lam)
+    assert got == _substitute(H, lam) and _normalized(got)
