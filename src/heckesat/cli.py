@@ -82,13 +82,12 @@ def cmd_hecke_poly(args):
         "degree": H.degree,
         "d": H.d,
         "vanishing_at_mu": vanishes,
-        "coefficients": {
-            f"t^{k}": repr(c) for k, c in enumerate(H.coefficients)
-        },
     }
     if args.format == "json":
-        report["coefficients"] = json.loads(
-            satake.polynomial_to_json(H))["coefficients"]
+        report["coefficients"] = satake.polynomial_to_dict(H)["coefficients"]
+    else:
+        report["coefficients"] = {
+            f"t^{k}": repr(c) for k, c in enumerate(H.coefficients)}
     _emit(report, args.format)
     return EXIT_OK if vanishes else EXIT_VERIFY_FAIL
 

@@ -49,10 +49,6 @@ class Laurent:
     def is_zero(self):
         return not self.coeffs
 
-    def is_integral(self):
-        """True if every coefficient is an integer."""
-        return all(not isinstance(c, Fraction) for c in self.coeffs.values())
-
     def __add__(self, other):
         d = dict(self.coeffs)
         for e, c in other.coeffs.items():
@@ -126,14 +122,6 @@ class Laurent:
             else:
                 parts.append(f"{c}*v^{e}" if c != 1 else f"v^{e}")
         return " + ".join(parts)
-
-    def to_pairs(self):
-        """Sorted (exponent, coefficient) pairs for serialization."""
-        return [(e, self.coeffs[e]) for e in sorted(self.coeffs)]
-
-    @classmethod
-    def from_pairs(cls, pairs):
-        return cls({int(e): Fraction(c) for e, c in pairs})
 
 
 class QuadExt:

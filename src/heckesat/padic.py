@@ -330,7 +330,7 @@ def satake_numeric(h: DoubleCosetSum) -> GroupAlgebraElement:
             chi = tuple(-x for x in a)
             out[chi] = out.get(chi, Laurent.zero()) + Laurent.v_power(e, c * k)
     result = reduce_mod_v2(GroupAlgebraElement(h.n, out), h.p)
-    if not is_weyl_invariant(_gl_reflections(h.n), result):
+    if not is_weyl_invariant(_gl_reflections(h.n), result.terms):
         raise RuntimeError("numeric Satake image is not Weyl invariant; "
                            "convention inconsistency")
     return result

@@ -15,7 +15,9 @@ that the weights of the irreducible representation of the dual group
 with minuscule highest weight form a single Weyl orbit with multiplicity
 one, so the characteristic polynomial of t - q^{d/2} r(g) factors over
 the orbit exponentials.  Its t**k coefficient is (-1)**(m-k) v**(d(m-k))
-times the elementary symmetric function e_{m-k} of the m orbit exponentials.
+times the elementary symmetric function e_{m-k} of the m orbit exponentials,
+so the integer maps e_0, ..., e_m are all a polynomial stores; the exact
+Laurent coefficients are built only when asked for.
 """
 
 from __future__ import annotations
@@ -137,9 +139,6 @@ class GroupAlgebraElement:
     def __hash__(self):
         return hash((self.rank, frozenset(self.terms.items())))
 
-    def is_integral(self):
-        return all(c.is_integral() for c in self.terms.values())
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -160,16 +159,15 @@ def weyl_act(w, x: GroupAlgebraElement) -> GroupAlgebraElement:
     return GroupAlgebraElement._trusted(x.rank, d)
 
 
-def is_weyl_invariant(gens, x: GroupAlgebraElement) -> bool:
-    """True iff every matrix in gens fixes x.
+def is_weyl_invariant(gens, terms) -> bool:
+    """True iff every matrix in gens fixes the {exponent: coefficient} map.
 
-    Then the whole group they generate fixes x, so passing
+    Then the whole group they generate fixes it, so passing
     ``simple_reflections(rd)`` tests invariance under the Weyl group.
-    A Weyl matrix permutes exponents, so g fixes x iff x has the
-    coefficient c at g.lam for every term c e^lam; no element is built,
-    and a term that g fixes needs no lookup.
+    A Weyl matrix permutes exponents, so g fixes the map iff it holds the
+    coefficient c at g.lam for every term c e^lam; nothing is built, and a
+    term that g fixes needs no lookup.
     """
-    terms = x.terms
     for rows in map(moved_rows, gens):
         for lam, c in terms.items():
             img = apply_moved(rows, lam)
@@ -180,11 +178,32 @@ def is_weyl_invariant(gens, x: GroupAlgebraElement) -> bool:
 
 @dataclass(frozen=True)
 class HeckePolynomialSatake:
+    """A polynomial sum_k (-1)**(m-k) v**(d(m-k)) e_{m-k} t**k, m = degree.
+
+    ``elementary[j]`` is e_j as an {exponent tuple: nonzero int} map,
+    j = 0..degree; for a Hecke polynomial e_0 = 1 and e_j is the j-th
+    elementary symmetric function of the orbit exponentials.
+    """
     mu: tuple
     d: int
     degree: int
-    coefficients: tuple  # GroupAlgebraElement, ascending degree, len degree+1
+    elementary: tuple  # {exponent: int} maps e_0..e_degree
     rank: int
+
+    @property
+    def coefficients(self):
+        """The exact t**k coefficients, ascending in k, built on access."""
+        m = self.degree
+        return tuple(
+            GroupAlgebraElement._trusted(self.rank, {
+                lam: Laurent.v_power(self.d * (m - k), (-1) ** (m - k) * c)
+                for lam, c in self.elementary[m - k].items()})
+            for k in range(m + 1))
+
+
+def _require_ints(lam, rank, what):
+    if len(lam) != rank or not all(isinstance(x, int) for x in lam):
+        raise SatakeError(f"{what} {lam} is not {rank} ints (the rank)")
 
 
 def hecke_polynomial(rd: RootDatum, mu) -> HeckePolynomialSatake:
@@ -192,18 +211,18 @@ def hecke_polynomial(rd: RootDatum, mu) -> HeckePolynomialSatake:
 
     Every factor has the scalar v**d, so only the elementary symmetric
     functions e_j of the orbit exponentials are expanded, on {exponent: int}
-    maps by e_j += e^lam e_{j-1} (j descending); then the t**k coefficient
-    is (-1)**(m-k) v**(d(m-k)) e_{m-k}, m = |W.mu|.  Raises TermBoundError
-    as soon as the maps hold more than TERM_BOUND terms in all.
+    maps by e_j += e^lam e_{j-1} (j descending).  Raises TermBoundError
+    as soon as the maps hold more than TERM_BOUND terms in all, and
+    SatakeError unless e_0 = 1 and every e_j is Weyl invariant.
     """
     mu = tuple(mu)
+    _require_ints(mu, rd.rank, "cocharacter")
     if not is_minuscule(rd, mu):
         raise SatakeError(f"{mu} is not minuscule for {rd.name}")
     mu = dominant_representative(rd, mu)
     gens = simple_reflections(rd)
     orb = sorted(orbit(gens, mu))
     d = rd.pairing(rd.delta(), mu)
-    m = len(orb)
     e = [{(0,) * rd.rank: 1}] + [{} for _ in orb]
     total = 1
     for j, lam in enumerate(orb, 1):
@@ -218,58 +237,38 @@ def hecke_polynomial(rd: RootDatum, mu) -> HeckePolynomialSatake:
                 raise TermBoundError(
                     f"the Hecke polynomial of {rd.name} at {mu} needs more "
                     f"than the bound of {TERM_BOUND} e_j terms")
-    coeffs = tuple(
-        GroupAlgebraElement._trusted(rd.rank, {
-            lam: Laurent.v_power(d * (m - k), (-1) ** (m - k) * c)
-            for lam, c in e[m - k].items()})
-        for k in range(m + 1))
-    H = HeckePolynomialSatake(mu, d, m, coeffs, rd.rank)
-    _validate_polynomial(rd, gens, H)
-    return H
-
-
-def _validate_polynomial(rd, gens, H):
-    top = H.coefficients[-1]
-    if top != GroupAlgebraElement.one(rd.rank):
+    if e[0] != {(0,) * rd.rank: 1}:
         raise SatakeError("Hecke polynomial is not monic")
-    for c in H.coefficients:
-        if not is_weyl_invariant(gens, c):
+    for ej in e:
+        if not is_weyl_invariant(gens, ej):
             raise SatakeError("non-Weyl-invariant Hecke coefficient")
-        if not c.is_integral():
-            raise SatakeError(
-                f"non-integral v-coefficient in the Hecke polynomial of "
-                f"{rd.name} at {H.mu}; flagged for review"
-            )
+    return HeckePolynomialSatake(mu, d, len(orb), tuple(e), rd.rank)
 
 
 def evaluate_vanishing(H: HeckePolynomialSatake,
                        lam=None) -> GroupAlgebraElement:
     """Substitute t := v**d e^lam (default lam = mu); contract: zero.
 
-    H(v**d e^lam) = sum_k c_k v**(dk) e^(k lam) is summed on one flat
-    {(exponent, v-power): coefficient} map that drops each entry the
-    moment it cancels, so nothing is left when H vanishes at lam.
+    Every term of H(v**d e^lam) = v**(dm) sum_k (-1)**(m-k) e_{m-k} e^(k lam)
+    carries v**(dm), so the sum runs on one {exponent: int} map that drops
+    each entry the moment it cancels; nothing is left when H vanishes at lam.
     """
-    lam = tuple(int(x) for x in lam) if lam is not None else H.mu
-    if len(lam) != H.rank:
-        raise SatakeError("rank mismatch")
+    lam = H.mu if lam is None else tuple(lam)
+    _require_ints(lam, H.rank, "exponent")
+    m = H.degree
     acc = {}
-    for k, c in enumerate(H.coefficients):
+    for k, ej in enumerate(reversed(H.elementary)):
+        sign = (-1) ** (m - k)
         shift = tuple(k * x for x in lam)
-        for nu, lau in c.terms.items():
+        for nu, c in ej.items():
             nu = tuple(map(add, nu, shift))
-            for e, a in lau.coeffs.items():
-                key = (nu, e + H.d * k)
-                a += acc.get(key, 0)
-                if a:
-                    acc[key] = a
-                else:
-                    del acc[key]
-    out = {}
-    for (nu, e), a in acc.items():
-        out.setdefault(nu, {})[e] = a
+            a = acc.get(nu, 0) + sign * c
+            if a:
+                acc[nu] = a
+            else:
+                del acc[nu]
     return GroupAlgebraElement._trusted(
-        H.rank, {nu: Laurent(coeffs) for nu, coeffs in out.items()})
+        H.rank, {nu: Laurent.v_power(H.d * m, a) for nu, a in acc.items()})
 
 
 def restrict_to_levi(H: HeckePolynomialSatake, rd: RootDatum,
@@ -284,8 +283,8 @@ def restrict_to_levi(H: HeckePolynomialSatake, rd: RootDatum,
         _reflection_matrix_costar(rd.roots[i], rd.coroots[i], rd.rank)
         for i in levi.levi_root_indices
     )
-    for c in H.coefficients:
-        if not is_weyl_invariant(gens, c):
+    for ej in H.elementary:
+        if not is_weyl_invariant(gens, ej):
             raise RuntimeError("coefficient not invariant under the Levi Weyl "
                                "group; internal inconsistency")
     return H
@@ -354,35 +353,47 @@ def specialize(H: HeckePolynomialSatake, s: SatakeParameterSymmetric,
 # serialization
 
 def polynomial_to_dict(H: HeckePolynomialSatake):
+    m = H.degree
     return {
         "mu": list(H.mu),
         "d": H.d,
-        "degree": H.degree,
+        "degree": m,
         "rank": H.rank,
         "coefficients": [
-            sorted(
-                ([list(lam), [[e, [c.numerator, c.denominator]
-                               if isinstance(c, Fraction) else [c, 1]]
-                              for e, c in coeff.terms[lam].to_pairs()]]
-                 for lam in coeff.terms),
-            )
-            for coeff in H.coefficients
+            sorted([list(lam), [[H.d * (m - k), [(-1) ** (m - k) * c, 1]]]]
+                   for lam, c in H.elementary[m - k].items())
+            for k in range(m + 1)
         ],
     }
 
 
 def polynomial_from_dict(data) -> HeckePolynomialSatake:
-    rank = int(data["rank"])
-    coeffs = []
-    for entry in data["coefficients"]:
-        terms = {}
+    """Parse the form of ``polynomial_to_dict``; SatakeError on any other."""
+    rank, d, m = int(data["rank"]), int(data["d"]), int(data["degree"])
+    coeffs = data["coefficients"]
+    if len(coeffs) != m + 1:
+        raise SatakeError(
+            f"degree {m} needs {m + 1} coefficients, got {len(coeffs)}")
+    elementary = [None] * (m + 1)
+    for k, entry in enumerate(coeffs):
+        sign, e = (-1) ** (m - k), {}
         for lam, pairs in entry:
-            terms[tuple(int(x) for x in lam)] = Laurent(
-                {int(e): Fraction(num, den) for e, (num, den) in pairs})
-        coeffs.append(GroupAlgebraElement(rank, terms))
+            lam = tuple(int(x) for x in lam)
+            if len(lam) != rank or lam in e:
+                raise SatakeError(f"exponent {lam} is repeated or not of "
+                                  f"rank {rank}")
+            if len(pairs) != 1 or pairs[0][0] != d * (m - k):
+                raise SatakeError(
+                    f"the t^{k} coefficient at {lam} is not one multiple "
+                    f"of v^{d * (m - k)}")
+            num, den = pairs[0][1]
+            if den != 1 or not isinstance(num, int) or num == 0:
+                raise SatakeError(f"the t^{k} coefficient {num}/{den} at "
+                                  f"{lam} is not a nonzero integer")
+            e[lam] = sign * num
+        elementary[m - k] = e
     return HeckePolynomialSatake(
-        tuple(int(x) for x in data["mu"]), int(data["d"]),
-        int(data["degree"]), tuple(coeffs), rank)
+        tuple(int(x) for x in data["mu"]), d, m, tuple(elementary), rank)
 
 
 def polynomial_to_json(H: HeckePolynomialSatake) -> str:

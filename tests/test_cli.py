@@ -146,3 +146,44 @@ def test_internal_inconsistency_is_internal_error(capsys, monkeypatch):
     assert code == 4 and out == ""
     assert err.startswith("internal error: RuntimeError: ")
     assert err.count("\n") == 1
+
+
+GL2_TEXT = """\
+coefficients:
+  t^0: (v^2)*e^(1, 1)
+  t^1: (-1*v)*e^(0, 1) + (-1*v)*e^(1, 0)
+  t^2: (1)*e^(0, 0)
+d: 1
+degree: 2
+group: GL(2)
+mu: [1, 0]
+vanishing_at_mu: True
+"""
+GL2_JSON = (
+    '{"coefficients": [[[[1, 1], [[2, [1, 1]]]]], '
+    '[[[0, 1], [[1, [-1, 1]]]], [[1, 0], [[1, [-1, 1]]]]], '
+    '[[[0, 0], [[0, [1, 1]]]]]], "d": 1, "degree": 2, "group": "GL(2)", '
+    '"mu": [1, 0], "vanishing_at_mu": true}\n')
+GSP4_SIEGEL_JSON = (
+    '{"coefficients": [[[[2, 2, 4], [[12, [1, 1]]]]], '
+    '[[[1, 1, 3], [[9, [-1, 1]]]], [[1, 2, 3], [[9, [-1, 1]]]], '
+    '[[2, 1, 3], [[9, [-1, 1]]]], [[2, 2, 3], [[9, [-1, 1]]]]], '
+    '[[[0, 1, 2], [[6, [1, 1]]]], [[1, 0, 2], [[6, [1, 1]]]], '
+    '[[1, 1, 2], [[6, [2, 1]]]], [[1, 2, 2], [[6, [1, 1]]]], '
+    '[[2, 1, 2], [[6, [1, 1]]]]], '
+    '[[[0, 0, 1], [[3, [-1, 1]]]], [[0, 1, 1], [[3, [-1, 1]]]], '
+    '[[1, 0, 1], [[3, [-1, 1]]]], [[1, 1, 1], [[3, [-1, 1]]]]], '
+    '[[[0, 0, 0], [[0, [1, 1]]]]]], "d": 3, "degree": 4, "group": "GSp(4)", '
+    '"mu": [1, 1, 1], "vanishing_at_mu": true}\n')
+
+
+def test_hecke_poly_golden_output(capsys):
+    # exact coefficient output, in both formats, byte for byte
+    for argv, expected in (
+        (["hecke-poly", "--group", "GL2", "--mu", "std"], GL2_TEXT),
+        (["hecke-poly", "--group", "GL2", "--mu", "std", "--format", "json"],
+         GL2_JSON),
+        (["--format", "json", "hecke-poly", "--group", "GSp4",
+          "--mu", "siegel"], GSP4_SIEGEL_JSON),
+    ):
+        assert run(capsys, *argv) == (0, expected, ""), argv

@@ -57,11 +57,14 @@ def test_weyl_act_automorphism():
 def test_is_weyl_invariant():
     rd = build_group("GL(2)")
     w = weyl_group(rd)
-    assert is_weyl_invariant(w.generators, G.one(2))
-    assert is_weyl_invariant(w.generators, G.exp((1, 0)) + G.exp((0, 1)))
-    assert not is_weyl_invariant(w.generators, G.exp((1, 0)))
+    assert is_weyl_invariant(w.generators, G.one(2).terms)
+    assert is_weyl_invariant(w.generators,
+                             (G.exp((1, 0)) + G.exp((0, 1))).terms)
+    assert not is_weyl_invariant(w.generators, G.exp((1, 0)).terms)
     assert not is_weyl_invariant(w.generators,
-                                 G.exp((1, 0)) + G.exp((0, 1), 2))
+                                 (G.exp((1, 0)) + G.exp((0, 1), 2)).terms)
+    assert is_weyl_invariant(w.generators, {(1, 0): 3, (0, 1): 3})
+    assert not is_weyl_invariant(w.generators, {(1, 0): 3, (0, 1): -3})
 
 
 def test_gl2_hecke_polynomial_exact():
@@ -120,8 +123,8 @@ def test_coefficients_invariant_and_integral(name):
         H = hecke_polynomial(rd, mu)
         assert H.coefficients[-1] == G.one(rd.rank)
         for c in H.coefficients:
-            assert is_weyl_invariant(w.generators, c)
-            assert c.is_integral()
+            assert is_weyl_invariant(w.generators, c.terms)
+        assert all(type(x) is int for e in H.elementary for x in e.values())
 
 
 def test_degree_d_table():
@@ -205,21 +208,72 @@ def test_evaluate_vanishing_matches_reference(name, alias):
         assert got == _substitute(H, lam) and not got.is_zero()
 
 
+LOADED = {  # e_0 = 2, e_1 = -3 e^(1,0) + 5 e^(0,1), e_2 = 5 e^(1,1); d = 1
+    "mu": [1, 0], "d": 1, "degree": 2, "rank": 2,
+    "coefficients": [
+        [[[1, 1], [[2, [5, 1]]]]],
+        [[[0, 1], [[1, [-5, 1]]]], [[1, 0], [[1, [3, 1]]]]],
+        [[[0, 0], [[0, [2, 1]]]]]]}
+
+
 def test_evaluate_vanishing_on_loaded_polynomial():
-    # d = 1, lam = (1, 0): c_1 v e^lam = (1/2 v + 3 v**3) e^(1, 0), and c_0
-    # cancels its v-term, leaving 3 v**3 e^(1, 0) + 2/3 v**-1 e^(0, 1)
-    H = sk.polynomial_from_json(json.dumps({
-        "mu": [1, 0], "d": 1, "degree": 1, "rank": 2,
-        "coefficients": [
-            [[[1, 0], [[1, [-1, 2]]]], [[0, 1], [[-1, [2, 3]]]]],
-            [[[0, 0], [[0, [1, 2]], [2, [3, 1]]]]]]}))
-    expected = (G.exp((1, 0), Laurent.v_power(3, 3))
-                + G.exp((0, 1), Laurent.v_power(-1, Fraction(2, 3))))
+    # at lam = (1, 0): v**2 (e_2 - e_1 e^lam + e_0 e^(2 lam)); the e^(1,1)
+    # terms 5 - 5 cancel, leaving (3 + 2) v**2 e^(2,0)
+    H = sk.polynomial_from_json(json.dumps(LOADED))
+    assert H.elementary == ({(0, 0): 2}, {(1, 0): -3, (0, 1): 5},
+                            {(1, 1): 5})
+    assert sk.polynomial_to_dict(H) == LOADED
+    expected = G.exp((2, 0), Laurent.v_power(2, 5))
     assert evaluate_vanishing(H, (1, 0)) == _substitute(H, (1, 0)) == expected
     assert evaluate_vanishing(H) == expected
-    assert evaluate_vanishing(H, (0, 1)) == _substitute(H, (0, 1))
+    got = evaluate_vanishing(H, (0, 1))
+    assert got == _substitute(H, (0, 1)) == (
+        G.exp((1, 1), Laurent.v_power(2, 8))
+        + G.exp((0, 2), Laurent.v_power(2, -3)))
     with pytest.raises(SatakeError, match="rank"):
         evaluate_vanishing(H, (1, 0, 0))
+
+
+def _spoiled(edit):
+    data = json.loads(json.dumps(LOADED))
+    edit(data)
+    return data
+
+
+@pytest.mark.parametrize("data, match", [
+    (_spoiled(lambda d: d["coefficients"].pop()), "needs 3 coefficients"),
+    (_spoiled(lambda d: d.update(degree=3)), "needs 4 coefficients"),
+    (_spoiled(lambda d: d["coefficients"][1][0][0].append(0)), "rank 2"),
+    (_spoiled(lambda d: d["coefficients"][1][1].__setitem__(0, [0, 1])),
+     "\\(0, 1\\) is repeated"),
+    (_spoiled(lambda d: d["coefficients"][1][0][1].append([0, [1, 1]])),
+     "one multiple of v\\^1"),
+    (_spoiled(lambda d: d["coefficients"][0][0][1][0].__setitem__(0, 1)),
+     "one multiple of v\\^2"),
+    (_spoiled(lambda d: d["coefficients"][2][0][1][0].__setitem__(1, [1, 2])),
+     "1/2 at \\(0, 0\\) is not a nonzero integer"),
+    (_spoiled(lambda d: d["coefficients"][1][1][1][0].__setitem__(1, [0, 1])),
+     "0/1 at \\(1, 0\\) is not a nonzero integer"),
+], ids=["too-few", "too-many", "rank", "repeated", "two-powers",
+        "wrong-power", "fraction", "zero"])
+def test_polynomial_loader_rejects(data, match):
+    with pytest.raises(SatakeError, match=match):
+        sk.polynomial_from_dict(data)
+
+
+def test_hecke_polynomial_rejects_cocharacter_of_wrong_shape():
+    rd = build_group("GL(2)")
+    for mu in ((1, 0, 0), (1,)):
+        with pytest.raises(SatakeError, match="rank"):
+            hecke_polynomial(rd, mu)
+    with pytest.raises(SatakeError, match="ints"):
+        hecke_polynomial(rd, (1.0, 0))
+
+
+def test_evaluate_vanishing_rejects_non_integer_exponent():
+    H = hecke_polynomial(build_group("GL(2)"), (1, 0))
+    with pytest.raises(SatakeError, match="ints"):
+        evaluate_vanishing(H, (1.7, 0))
 
 
 def test_polynomial_json_roundtrip():
@@ -368,31 +422,37 @@ NON_REFLECTIONS = (((0, 0, 1), (1, 0, 0), (0, 1, 0)),  # 3-cycle: 3 moved rows
 def test_weyl_invariance_matches_the_action(x):
     for g in GSP4_GENS + NON_REFLECTIONS:
         gx = weyl_act(g, x)
-        assert is_weyl_invariant((g,), x) == (gx == x)
+        assert is_weyl_invariant((g,), x.terms) == (gx == x)
         assert _normalized(gx)
     for g in GSP4_GENS:
-        assert is_weyl_invariant((g,), x + weyl_act(g, x))
+        assert is_weyl_invariant((g,), (x + weyl_act(g, x)).terms)
         # same exponents as the invariant x + g.x, invariant iff g.x == x
-        assert is_weyl_invariant((g,), x + weyl_act(g, x).scale(2)) == \
-            (weyl_act(g, x) == x)
+        assert is_weyl_invariant((g,), (x + weyl_act(g, x).scale(2)).terms) \
+            == (weyl_act(g, x) == x)
     cycle = NON_REFLECTIONS[0]
     gx = weyl_act(cycle, x)
-    assert is_weyl_invariant((cycle,), x + gx + weyl_act(cycle, gx))
+    assert is_weyl_invariant((cycle,), (x + gx + weyl_act(cycle, gx)).terms)
     assert weyl_act(cycle, weyl_act(cycle, gx)) == x
 
 
+elementary_maps = st.lists(
+    st.dictionaries(st.tuples(*[st.integers(-1, 1)] * 3),
+                    st.integers(-3, 3).filter(bool), max_size=3),
+    min_size=1, max_size=4).map(tuple)
+
+
 @settings(max_examples=50, deadline=None)
-@given(st.lists(elements, min_size=1, max_size=3),
-       st.tuples(*[st.integers(-2, 2)] * 3), st.integers(0, 6))
-def test_polynomial_json_roundtrip_property(coeffs, mu, d):
-    H = HeckePolynomialSatake(mu, d, len(coeffs) - 1, tuple(coeffs), 3)
+@given(elementary_maps, st.tuples(*[st.integers(-2, 2)] * 3),
+       st.integers(0, 6))
+def test_polynomial_json_roundtrip_property(es, mu, d):
+    H = HeckePolynomialSatake(mu, d, len(es) - 1, es, 3)
     assert sk.polynomial_from_json(sk.polynomial_to_json(H)) == H
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(elements, min_size=1, max_size=3),
-       st.tuples(*[st.integers(-2, 2)] * 3), st.integers(0, 3))
-def test_evaluate_vanishing_matches_reference_property(coeffs, lam, d):
-    H = HeckePolynomialSatake((0, 0, 0), d, len(coeffs) - 1, tuple(coeffs), 3)
+@given(elementary_maps, st.tuples(*[st.integers(-2, 2)] * 3),
+       st.integers(0, 3))
+def test_evaluate_vanishing_matches_reference_property(es, lam, d):
+    H = HeckePolynomialSatake((0, 0, 0), d, len(es) - 1, es, 3)
     got = evaluate_vanishing(H, lam)
     assert got == _substitute(H, lam) and _normalized(got)
