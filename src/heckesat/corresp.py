@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .intmat import as_matrix, mat_mul
+from .intmat import mat_mul
 
 
 class CorrespError(ValueError):
@@ -54,10 +54,6 @@ class Correspondence:
                 len(r) != self.target.size for r in w):
             raise CorrespError("weight matrix shape mismatch")
 
-    @classmethod
-    def from_rows(cls, source, target, rows):
-        return cls(source, target, as_matrix(rows) if rows else ())
-
     def __add__(self, other):
         if (self.source, self.target) != (other.source, other.target):
             raise CorrespError("mismatched point sets in sum")
@@ -71,10 +67,6 @@ class Correspondence:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def scale(self, c):
-        return Correspondence(self.source, self.target, tuple(
-            tuple(c * x for x in r) for r in self.weights))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ endomorphism is the coordinate p-power map.  The headline checks are
 
 from __future__ import annotations
 
-import json
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -417,7 +416,3 @@ def curve_report(curve: EllipticCurve, k_max=2):
         "satake_link": ok_link,
         "hecke_polynomial": [str(c) for c in coeffs],
     }
-
-
-def report_json(curve: EllipticCurve, k_max=2) -> str:
-    return json.dumps(curve_report(curve, k_max), sort_keys=True)

@@ -6,16 +6,21 @@ X_* side, in matching order.  The Weyl group acts on the cocharacter
 lattice by integer matrices; orbits and invariance need only the simple
 reflections, and the full closure is built only where |W| is wanted.
 
-Supported constructors and the lattice bases they use:
+Each constructor gives only its simple (root, coroot) pairs; the other
+positive pairs come from one walk of simple reflections up the heights
+(``_from_simple``), and the result is validated like any other datum.
+The constructors, the lattice bases they use, and the roots that result:
 
 * ``GL(n)``   -- X* = X_* = Z^n, roots e_i - e_j, coroots e_i - e_j.
-* ``SL(n)``   -- rank n-1; X* spanned by the images of e_1..e_{n-1} modulo
-  (1,...,1), X_* the sum-zero sublattice in the dual coordinates.
+* ``SL(n)``   -- rank n-1; X* spanned by the images ebar_1..ebar_{n-1} of
+  e_1..e_{n-1} modulo (1,...,1), so ebar_n = -(1,...,1); X_* the sum-zero
+  sublattice in the dual coordinates, written by its first n-1 entries;
+  roots ebar_i - ebar_j, coroots e_i - e_j.
 * ``GSp(2g)`` -- rank g+1, basis (eps_1..eps_g, eta) with eta the
   similitude character; roots eps_i - eps_j, eps_i + eps_j - eta,
-  2 eps_i - eta (type C_g).
+  2 eps_i - eta (type C_g), coroots eps_i - eps_j, eps_i + eps_j, eps_i.
 * ``GSO(2n)`` -- rank n+1, basis (eps_1..eps_n, eta); roots eps_i - eps_j
-  and eps_i + eps_j - eta (type D_n).
+  and eps_i + eps_j - eta (type D_n), coroots eps_i - eps_j, eps_i + eps_j.
 * ``GSpin(2n+1)`` -- rank n+1, basis (e_1..e_n, e_0) with e_0 the
   similitude direction; roots e_i - e_j, e_i + e_j, e_i (type B_n);
   coroots f_i - f_j, f_i + f_j - f_0, 2 f_i - f_0, so the dual datum has
@@ -223,135 +228,92 @@ def _e(i, n):
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-def _vadd(*vs):
-    return tuple(sum(t) for t in zip(*vs))
-
-
-def _vneg(v):
-    return tuple(-x for x in v)
-
-
 def _vsub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _with_negatives(pairs):
-    """pairs: list of (root, coroot) for the positive system; appends negatives."""
-    roots = [r for r, _ in pairs] + [_vneg(r) for r, _ in pairs]
-    coroots = [c for _, c in pairs] + [_vneg(c) for _, c in pairs]
-    return tuple(roots), tuple(coroots)
+def _chain(k, rank):
+    """The self-dual pairs e_i - e_{i+1}, i < k - 1, in Z^rank (type A_{k-1})."""
+    return [(v, v) for v in (_vsub(_e(i, rank), _e(i + 1, rank))
+                             for i in range(k - 1))]
+
+
+def _from_simple(name, rank, simple):
+    """The validated datum whose simple (root, coroot) pairs are ``simple``.
+
+    Every positive root is reached from a simple one by simple reflections
+    that raise its height (Humphreys, Introduction to Lie Algebras and
+    Representation Theory, 10.2 Lemma B and 10.3 Theorem (c)).
+    s_i is applied to a positive pair (b, b^) only when k = <b, a_i^> < 0;
+    the image (b - k a_i, b^ - <a_i, b^> a_i^) is positive and its
+    simple-root expansion differs from that of b in place i alone.  The
+    positive roots come first, by height and then by expansion (so the
+    simple ones lead, in the given order), followed by their negatives.
+    """
+    r = len(simple)
+    found = {_e(i, r): pair for i, pair in enumerate(simple)}
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for c in frontier:
+            b, bv = found[c]
+            for i, (a, av) in enumerate(simple):
+                k = sum(x * y for x, y in zip(b, av))
+                if k >= 0:
+                    continue
+                up = c[:i] + (c[i] - k,) + c[i + 1:]
+                if up not in found:
+                    m = sum(x * y for x, y in zip(a, bv))
+                    found[up] = (_vsub(b, (k * y for y in a)),
+                                 _vsub(bv, (m * y for y in av)))
+                    nxt.append(up)
+        frontier = nxt
+    order = sorted(found, key=lambda c: (sum(c), [-x for x in c]))
+    pos = [found[c] for c in order]
+    roots = [b for b, _ in pos]
+    coroots = [bv for _, bv in pos]
+    roots += [tuple(-x for x in b) for b in roots]
+    coroots += [tuple(-x for x in bv) for bv in coroots]
+    return validate(RootDatum(name, rank, tuple(roots), tuple(coroots),
+                              tuple(range(r))))
 
 
 def _build_gl(n):
     if n < 1:
         raise RootDatumError("GL size must be >= 1")
-    pairs = []
-    for i in range(n):
-        for j in range(n):
-            if i < j:
-                v = _vsub(_e(i, n), _e(j, n))
-                pairs.append((v, v))
-    roots, coroots = _with_negatives(pairs)
-    simple = tuple(k for k, (r, _) in enumerate(pairs)
-                   if any(r == _vsub(_e(i, n), _e(i + 1, n)) for i in range(n - 1)))
-    return validate(RootDatum(f"GL({n})", n, roots, coroots, simple))
+    return _from_simple(f"GL({n})", n, _chain(n, n))
 
 
 def _build_sl(n):
     if n < 2:
         raise RootDatumError("SL size must be >= 2")
     rank = n - 1
-    # image of e_i in X* = Z^n / (1,..,1), coordinates in basis ebar_1..ebar_{n-1}
-    def char(i):
-        if i < n - 1:
-            return _e(i, rank)
-        return tuple(-1 for _ in range(rank))
-    # coroot e_i - e_j in sum-zero coordinates (first n-1 entries)
-    def cochar(i, j):
-        v = [0] * n
-        v[i] += 1
-        v[j] -= 1
-        return tuple(v[:rank])
-    pairs = []
-    for i in range(n):
-        for j in range(n):
-            if i < j:
-                pairs.append((_vsub(char(i), char(j)), cochar(i, j)))
-    roots, coroots = _with_negatives(pairs)
-    simple = []
-    for k, (_, cv) in enumerate(pairs):
-        for i in range(n - 1):
-            if cv == cochar(i, i + 1):
-                simple.append(k)
-                break
-    return validate(RootDatum(f"SL({n})", rank, roots, coroots, tuple(simple)))
+    # ebar_1..ebar_n in X* = Z^n / (1,..,1), with ebar_n = -(1,..,1); the
+    # coroot e_i - e_{i+1} in sum-zero coordinates keeps its first n-1 entries
+    bar = [_e(i, rank) for i in range(rank)] + [(-1,) * rank]
+    return _from_simple(f"SL({n})", rank, [
+        (_vsub(bar[i], bar[i + 1]), _vsub(_e(i, n), _e(i + 1, n))[:rank])
+        for i in range(rank)])
 
 
 def _build_gsp(g):
-    rank = g + 1  # (eps_1..eps_g, eta)
-    eta = _e(g, rank)
-    pairs = []
-    for i in range(g):
-        for j in range(i + 1, g):
-            pairs.append((_vsub(_e(i, rank), _e(j, rank)),
-                          _vsub(_e(i, rank), _e(j, rank))))
-            pairs.append((_vsub(_vadd(_e(i, rank), _e(j, rank)), eta),
-                          _vadd(_e(i, rank), _e(j, rank))))
-    for i in range(g):
-        pairs.append((_vsub(_vadd(_e(i, rank), _e(i, rank)), eta), _e(i, rank)))
-    roots, coroots = _with_negatives(pairs)
-    simple = []
-    for k, (r, _) in enumerate(pairs):
-        if any(r == _vsub(_e(i, rank), _e(i + 1, rank)) for i in range(g - 1)):
-            simple.append(k)
-        elif r == _vsub(_vadd(_e(g - 1, rank), _e(g - 1, rank)), eta):
-            simple.append(k)
-    return validate(RootDatum(f"GSp({2 * g})", rank, roots, coroots, tuple(simple)))
+    # (eps_1..eps_g, eta): 2 eps_g - eta with coroot eps_g closes the chain
+    return _from_simple(f"GSp({2 * g})", g + 1, _chain(g, g + 1) + [
+        ((0,) * (g - 1) + (2, -1), (0,) * (g - 1) + (1, 0))])
 
 
 def _build_gso(n):
     if n < 2:
         raise RootDatumError("GSO(2n) needs n >= 2")
-    rank = n + 1
-    eta = _e(n, rank)
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            pairs.append((_vsub(_e(i, rank), _e(j, rank)),
-                          _vsub(_e(i, rank), _e(j, rank))))
-            pairs.append((_vsub(_vadd(_e(i, rank), _e(j, rank)), eta),
-                          _vadd(_e(i, rank), _e(j, rank))))
-    roots, coroots = _with_negatives(pairs)
-    simple = []
-    for k, (r, _) in enumerate(pairs):
-        if any(r == _vsub(_e(i, rank), _e(i + 1, rank)) for i in range(n - 1)):
-            simple.append(k)
-        elif r == _vsub(_vadd(_e(n - 2, rank), _e(n - 1, rank)), eta):
-            simple.append(k)
-    return validate(RootDatum(f"GSO({2 * n})", rank, roots, coroots, tuple(simple)))
+    # (eps_1..eps_n, eta): eps_{n-1} + eps_n - eta, coroot eps_{n-1} + eps_n
+    return _from_simple(f"GSO({2 * n})", n + 1, _chain(n, n + 1) + [
+        ((0,) * (n - 2) + (1, 1, -1), (0,) * (n - 2) + (1, 1, 0))])
 
 
 def _build_gspin(n):
-    rank = n + 1  # (e_1..e_n, e_0)
-    f0 = _e(n, rank)
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            pairs.append((_vsub(_e(i, rank), _e(j, rank)),
-                          _vsub(_e(i, rank), _e(j, rank))))
-            pairs.append((_vadd(_e(i, rank), _e(j, rank)),
-                          _vsub(_vadd(_e(i, rank), _e(j, rank)), f0)))
-    for i in range(n):
-        pairs.append((_e(i, rank), _vsub(_vadd(_e(i, rank), _e(i, rank)), f0)))
-    roots, coroots = _with_negatives(pairs)
-    simple = []
-    for k, (r, _) in enumerate(pairs):
-        if any(r == _vsub(_e(i, rank), _e(i + 1, rank)) for i in range(n - 1)):
-            simple.append(k)
-        elif r == _e(n - 1, rank):
-            simple.append(k)
-    return validate(RootDatum(f"GSpin({2 * n + 1})", rank, roots, coroots,
-                              tuple(simple)))
+    # (e_1..e_n, e_0): the short root e_n with coroot 2 f_n - f_0
+    return _from_simple(f"GSpin({2 * n + 1})", n + 1, _chain(n, n + 1) + [
+        ((0,) * (n - 1) + (1, 0), (0,) * (n - 1) + (2, -1))])
 
 
 def dual(rd: RootDatum) -> RootDatum:
@@ -411,19 +373,30 @@ def weyl_order_formula(rd: RootDatum):
     raise RootDatumError(rd.name)
 
 
+def _cocharacter(rd: RootDatum, mu):
+    """mu as a tuple; RootDatumError unless it is exactly rd.rank ints."""
+    mu = tuple(mu)
+    if len(mu) != rd.rank or not all(isinstance(x, int) for x in mu):
+        raise RootDatumError(
+            f"cocharacter {mu} is not {rd.rank} ints (the rank of {rd.name})")
+    return mu
+
+
 def is_minuscule(rd: RootDatum, mu) -> bool:
     """True iff <alpha, mu> lies in {-1, 0, 1} for every root alpha."""
+    mu = _cocharacter(rd, mu)
     return all(rd.pairing(a, mu) in (-1, 0, 1) for a in rd.roots)
 
 
 def is_dominant(rd: RootDatum, mu) -> bool:
+    mu = _cocharacter(rd, mu)
     return all(rd.pairing(rd.roots[i], mu) >= 0
                for i in rd.positive_root_indices())
 
 
 def dominant_representative(rd: RootDatum, mu):
     """The unique dominant vector in the Weyl orbit of mu."""
-    mu = tuple(mu)
+    mu = _cocharacter(rd, mu)
     simple = [(rd.roots[i], rd.coroots[i]) for i in rd.simple_indices]
     changed = True
     while changed:
@@ -460,7 +433,7 @@ def orbit(gens, mu):
 
 def parabolic_data(rd: RootDatum, mu) -> ParabolicData:
     """Levi/unipotent split determined by a dominant minuscule cocharacter."""
-    mu = tuple(mu)
+    mu = _cocharacter(rd, mu)
     if not is_minuscule(rd, mu):
         raise RootDatumError(f"{mu} is not minuscule for {rd.name}")
     if not is_dominant(rd, mu):

@@ -213,7 +213,8 @@ def hecke_polynomial(rd: RootDatum, mu) -> HeckePolynomialSatake:
     functions e_j of the orbit exponentials are expanded, on {exponent: int}
     maps by e_j += e^lam e_{j-1} (j descending).  Raises TermBoundError
     as soon as the maps hold more than TERM_BOUND terms in all, and
-    SatakeError unless e_0 = 1 and every e_j is Weyl invariant.
+    SatakeError unless every e_j is Weyl invariant.  e_0 = 1 holds by
+    construction: the loop writes only e_1 .. e_m.
     """
     mu = tuple(mu)
     _require_ints(mu, rd.rank, "cocharacter")
@@ -237,8 +238,6 @@ def hecke_polynomial(rd: RootDatum, mu) -> HeckePolynomialSatake:
                 raise TermBoundError(
                     f"the Hecke polynomial of {rd.name} at {mu} needs more "
                     f"than the bound of {TERM_BOUND} e_j terms")
-    if e[0] != {(0,) * rd.rank: 1}:
-        raise SatakeError("Hecke polynomial is not monic")
     for ej in e:
         if not is_weyl_invariant(gens, ej):
             raise SatakeError("non-Weyl-invariant Hecke coefficient")

@@ -79,6 +79,30 @@ def test_delta_values():
     assert build_group("GSpin(7)").delta() == (5, 3, 1, 0)
 
 
+@pytest.mark.parametrize("mu", [(1, 0, 0), (1,), (1.5, 0.5)])
+def test_is_minuscule_rejects_cocharacter_of_wrong_shape(mu):
+    with pytest.raises(RootDatumError, match="is not 2 ints"):
+        is_minuscule(build_group("GL(2)"), mu)
+
+
+@pytest.mark.parametrize("mu", [(1, 0, 0), (1,), (1.5, 0.5)])
+def test_is_dominant_rejects_cocharacter_of_wrong_shape(mu):
+    with pytest.raises(RootDatumError, match="is not 2 ints"):
+        is_dominant(build_group("GL(2)"), mu)
+
+
+@pytest.mark.parametrize("mu", [(1, 0, 0), (1,), (1.5, 0.5)])
+def test_dominant_representative_rejects_cocharacter_of_wrong_shape(mu):
+    with pytest.raises(RootDatumError, match="is not 2 ints"):
+        dominant_representative(build_group("GL(2)"), mu)
+
+
+@pytest.mark.parametrize("mu", [(1, 0, 0), (1,), (1.5, 0.5)])
+def test_parabolic_data_rejects_cocharacter_of_wrong_shape(mu):
+    with pytest.raises(RootDatumError, match="is not 2 ints"):
+        parabolic_data(build_group("GL(2)"), mu)
+
+
 def test_minuscule_and_dominant():
     rd = build_group("GL(2)")
     assert is_minuscule(rd, (1, 0))
@@ -196,8 +220,9 @@ def test_unedited_gsp4_dict_is_accepted():
     assert rdm.from_dict(_gsp4_dict()) == build_group("GSp(4)")
 
 
-@pytest.mark.parametrize("name", ALL_GROUPS + ("GL(5)", "GSp(8)", "GSpin(9)",
-                                               "GSO(10)"))
+@pytest.mark.parametrize("name", ALL_GROUPS + (
+    "GL(5)", "GSp(8)", "GSpin(9)", "GSO(10)", "SL(2)", "SL(3)", "SL(4)",
+    "GSp(2)", "GSO(4)", "GSpin(3)"))
 def test_positive_roots_are_the_first_half(name):
     rd = build_group(name)
     assert rd.positive_root_indices() == tuple(range(len(rd.roots) // 2))
@@ -218,3 +243,94 @@ def test_orbit_from_generators_matches_closure(name):
     assert gens == weyl_group(rd).generators
     for mu in enumerate_dominant_minuscule(rd):
         assert orbit(gens, mu) == {mat_vec(w, mu) for w in elements}
+
+
+# The 26 groups whose generated root data are checked against the
+# formulas of the rootdata module docstring, written out independently.
+REFERENCE_GROUPS = (
+    [f"GL({n})" for n in range(1, 7)] + [f"SL({n})" for n in range(2, 7)]
+    + [f"GSp({2 * g})" for g in range(1, 6)]
+    + [f"GSO({2 * n})" for n in range(2, 7)]
+    + [f"GSpin({2 * n + 1})" for n in range(1, 6)])
+
+
+def _vec(rank, *terms):
+    """The vector sum of c * e_i over the (i, c) in terms, in Z^rank."""
+    v = [0] * rank
+    for i, c in terms:
+        v[i] += c
+    return tuple(v)
+
+
+def _reference_pairs(name):
+    """All (root, coroot) pairs of a constructor group, from its formulas.
+
+    Returns the set of pairs and the semisimple rank.
+    """
+    fam, size = rdm.parse_group_name(name)
+    pairs = set()
+
+    def both_signs(root, coroot):
+        pairs.add((root, coroot))
+        pairs.add((tuple(-x for x in root), tuple(-x for x in coroot)))
+
+    if fam == "GL":
+        n = size
+        for i in range(n):
+            for j in range(i + 1, n):
+                v = _vec(n, (i, 1), (j, -1))
+                both_signs(v, v)
+        return pairs, n - 1
+    if fam == "SL":
+        n, rank = size, size - 1
+        # ebar_n = -(1, ..., 1); coroots e_i - e_j cut to their first n-1
+        bar = [_vec(rank, (i, 1)) for i in range(rank)] + [(-1,) * rank]
+        for i in range(n):
+            for j in range(i + 1, n):
+                both_signs(tuple(x - y for x, y in zip(bar[i], bar[j])),
+                           _vec(n, (i, 1), (j, -1))[:rank])
+        return pairs, rank
+    if fam in ("GSp", "GSO"):
+        n = size // 2
+        rank, eta = n + 1, n
+        for i in range(n):
+            for j in range(i + 1, n):
+                both_signs(_vec(rank, (i, 1), (j, -1)),
+                           _vec(rank, (i, 1), (j, -1)))
+                both_signs(_vec(rank, (i, 1), (j, 1), (eta, -1)),
+                           _vec(rank, (i, 1), (j, 1)))
+            if fam == "GSp":
+                both_signs(_vec(rank, (i, 2), (eta, -1)), _vec(rank, (i, 1)))
+        return pairs, n
+    n = (size - 1) // 2  # GSpin on (e_1..e_n, e_0), coroots on (f_1..f_n, f_0)
+    rank, f0 = n + 1, n
+    for i in range(n):
+        for j in range(i + 1, n):
+            both_signs(_vec(rank, (i, 1), (j, -1)), _vec(rank, (i, 1), (j, -1)))
+            both_signs(_vec(rank, (i, 1), (j, 1)),
+                       _vec(rank, (i, 1), (j, 1), (f0, -1)))
+        both_signs(_vec(rank, (i, 1)), _vec(rank, (i, 2), (f0, -1)))
+    return pairs, n
+
+
+@pytest.mark.parametrize("name", REFERENCE_GROUPS)
+def test_generated_root_data_match_the_documented_formulas(name):
+    rd = build_group(name)
+    pairs, ss_rank = _reference_pairs(name)
+    assert len(rd.roots) == len(pairs)
+    assert set(zip(rd.roots, rd.coroots)) == pairs
+    # the simple roots are the first r, r the semisimple rank
+    assert rd.simple_indices == tuple(range(ss_rank))
+    half = len(rd.roots) // 2
+    assert rd.positive_root_indices() == tuple(range(half))
+    expansions = rd._root_expansions[:half]
+    assert all(c >= 0 and c.denominator == 1 for e in expansions for c in e)
+    heights = [sum(e) for e in expansions]
+    assert heights == sorted(heights)
+
+
+def test_gl1_has_no_roots():
+    rd = build_group("GL(1)")
+    assert rd.rank == 1
+    assert rd.roots == rd.coroots == rd.simple_indices == ()
+    assert rd.delta() == (0,)
