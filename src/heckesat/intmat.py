@@ -3,14 +3,15 @@
 Matrices are tuples of tuples of Python ints (row-major).  The normal
 forms here are specific to matrices whose determinant is +/- a power of a
 fixed prime p: they canonicalize left cosets g*GL_n(Z_p) and classify
-double cosets by elementary-divisor type.
+double cosets by elementary-divisor type.  Both come from one method:
+reduce mod p**(k+1), k = v_p(det), and eliminate with a pivot of least
+p-adic valuation scaled by the inverse of its unit part.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from operator import mul
 
 
@@ -126,6 +127,20 @@ def _check_p_power_det(m, p):
     return k
 
 
+def _local_rows(m, p, name):
+    """Square m with p-power determinant, as rows reduced mod p**(k+1).
+
+    k = v_p(det m).  Every elementary divisor of m divides p**k, so the
+    reduction moves neither the coset m*GL_n(Z_p) nor its double coset.
+    Returns the mutable rows and the modulus p**(k+1).
+    """
+    m = as_matrix(m)
+    if len(m[0]) != len(m):
+        raise NormalFormError(f"{name} needs a square matrix")
+    mod = p ** (_check_p_power_det(m, p) + 1)
+    return [[x % mod for x in r] for r in m], mod
+
+
 def hnf_padic(m, p):
     """Canonical upper-triangular representative of the left coset m*GL_n(Z_p).
 
@@ -134,42 +149,21 @@ def hnf_padic(m, p):
     p-integral U of p-unit determinant.  H is the unique such matrix, so
     two matrices generate the same coset iff they share an hnf_padic image.
     """
-    m = as_matrix(m)
-    n = len(m)
-    if len(m[0]) != n:
-        raise NormalFormError("hnf_padic needs a square matrix")
-    k = _check_p_power_det(m, p)
-    pk = p ** k
-    # Column span of [m | p^k I] over Z equals the Z_p-lattice of m.
-    cols = [[m[i][j] for i in range(n)] for j in range(n)]
-    cols += [[pk if i == j else 0 for i in range(n)] for j in range(n)]
-    basis = [None] * n
+    h, mod = _local_rows(m, p, "hnf_padic")
+    n = len(h)
+    # Bottom row first: columns 0..i are zero below row i, so only rows
+    # 0..i move.  The least-valuation entry of row i becomes the pivot.
     for i in range(n - 1, -1, -1):
-        live = [c for c in cols if any(c[r] != 0 for r in range(i + 1))]
-        work = [c for c in live if c[i] != 0]
-        rest = [c for c in live if c[i] == 0]
-        # gcd-reduce row i across the working columns down to one pivot
-        while len(work) > 1:
-            work.sort(key=lambda c: abs(c[i]))
-            piv = work[0]
-            new_work = [piv]
-            for c in work[1:]:
-                q = c[i] // piv[i]
-                if q:
-                    for r in range(i + 1):
-                        c[r] -= q * piv[r]
-                if c[i] != 0:
-                    new_work.append(c)
-                elif any(c[r] != 0 for r in range(i)):
-                    rest.append(c)
-            work = new_work
-        piv = work[0]
-        if piv[i] < 0:
-            for r in range(i + 1):
-                piv[r] = -piv[r]
-        basis[i] = piv
-        cols = rest
-    h = [[basis[j][i] for j in range(n)] for i in range(n)]
+        v, c = min((p_valuation(h[i][j] or mod, p), j) for j in range(i + 1))
+        w = pow(h[i][c] // p ** v, -1, mod)
+        for r in h[:i + 1]:
+            r[i], r[c] = r[c], r[i]
+            r[i] = r[i] * w % mod
+        for j in range(i):
+            q = h[i][j] // p ** v
+            if q:
+                for r in h[:i + 1]:
+                    r[j] = (r[j] - q * r[i]) % mod
     # Reduce entry (i, j), i < j, modulo the row diagonal p^{a_i}.  Work
     # down each column so earlier reductions are not disturbed: adding a
     # multiple of column i only touches rows <= i.
@@ -186,29 +180,26 @@ def snf_type(m, p):
     """Elementary-divisor exponents of m at p, sorted descending.
 
     Returns (a_1 >= ... >= a_n >= 0) with m equivalent to diag(p**a_i)
-    under p-unit row and column operations.  Computed from determinant
-    divisors: a_k is read off the p-valuations of the gcds of k x k minors.
+    under p-unit row and column operations.  Each step moves an entry of
+    least valuation in the remaining block to the pivot and clears the
+    column below it; clearing the pivot row would not touch the block.
     """
-    m = as_matrix(m)
-    n = len(m)
-    if len(m[0]) != n:
-        raise NormalFormError("snf_type needs a square matrix")
-    _check_p_power_det(m, p)
-    vals = []  # v_p of the k-th determinant divisor
-    prev = 0
-    for k in range(1, n + 1):
-        g = 0
-        for rows in combinations(range(n), k):
-            for cs in combinations(range(n), k):
-                sub = tuple(tuple(m[i][j] for j in cs) for i in rows)
-                g = gcd(g, det(sub))
-                if g == 1:
-                    break
-            if g == 1:
-                break
-        vk = p_valuation(g, p)
-        vals.append(vk - prev)
-        prev = vk
+    a, mod = _local_rows(m, p, "snf_type")
+    n = len(a)
+    vals = []
+    for t in range(n):
+        v, i, j = min((p_valuation(a[i][j] or mod, p), i, j)
+                      for i in range(t, n) for j in range(t, n))
+        a[t], a[i] = a[i], a[t]
+        for r in a[t:]:
+            r[t], r[j] = r[j], r[t]
+        w = pow(a[t][t] // p ** v, -1, mod)
+        for r in a[t + 1:]:
+            q = r[t] // p ** v * w
+            if q:
+                for c in range(t + 1, n):
+                    r[c] = (r[c] - q * a[t][c]) % mod
+        vals.append(v)
     return tuple(sorted(vals, reverse=True))
 
 
@@ -229,14 +220,6 @@ def inverse_rational(m):
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return tuple(tuple(r[n:]) for r in a)
-
-
-def inverse_integer(m):
-    """Inverse of a unimodular integer matrix, as an integer matrix."""
-    inv = inverse_rational(m)
-    if any(x.denominator != 1 for row in inv for x in row):
-        raise NormalFormError("matrix is not unimodular")
-    return tuple(tuple(int(x) for x in row) for row in inv)
 
 
 def coset_equal(g1, g2, p):

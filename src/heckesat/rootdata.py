@@ -373,13 +373,17 @@ def weyl_order_formula(rd: RootDatum):
     raise RootDatumError(rd.name)
 
 
+def _ints(xs, size, what):
+    """xs as a tuple; RootDatumError unless it is exactly size ints."""
+    xs = tuple(xs)
+    if len(xs) != size or not all(isinstance(x, int) for x in xs):
+        raise RootDatumError(f"{what} {xs} is not {size} ints")
+    return xs
+
+
 def _cocharacter(rd: RootDatum, mu):
     """mu as a tuple; RootDatumError unless it is exactly rd.rank ints."""
-    mu = tuple(mu)
-    if len(mu) != rd.rank or not all(isinstance(x, int) for x in mu):
-        raise RootDatumError(
-            f"cocharacter {mu} is not {rd.rank} ints (the rank of {rd.name})")
-    return mu
+    return _ints(mu, rd.rank, f"{rd.name} cocharacter")
 
 
 def is_minuscule(rd: RootDatum, mu) -> bool:
@@ -516,11 +520,15 @@ def to_dict(rd: RootDatum):
 
 
 def from_dict(d) -> RootDatum:
+    """Parse the form of ``to_dict``; RootDatumError unless it holds ints
+    of the right lengths that form a root datum."""
+    (rank,) = _ints((d["rank"],), 1, "rank")
+    simple = d["simple_indices"]
     return validate(RootDatum(
-        d["name"], int(d["rank"]),
-        tuple(tuple(int(x) for x in r) for r in d["roots"]),
-        tuple(tuple(int(x) for x in c) for c in d["coroots"]),
-        tuple(int(i) for i in d["simple_indices"]),
+        d["name"], rank,
+        tuple(_ints(r, rank, "root") for r in d["roots"]),
+        tuple(_ints(c, rank, "coroot") for c in d["coroots"]),
+        _ints(simple, len(simple), "simple indices"),
     ))
 
 

@@ -201,9 +201,12 @@ class HeckePolynomialSatake:
             for k in range(m + 1))
 
 
-def _require_ints(lam, rank, what):
-    if len(lam) != rank or not all(isinstance(x, int) for x in lam):
-        raise SatakeError(f"{what} {lam} is not {rank} ints (the rank)")
+def _require_ints(xs, size, what):
+    """xs as a tuple; SatakeError unless it is exactly size ints."""
+    xs = tuple(xs)
+    if len(xs) != size or not all(isinstance(x, int) for x in xs):
+        raise SatakeError(f"{what} {xs} is not {size} ints")
+    return xs
 
 
 def hecke_polynomial(rd: RootDatum, mu) -> HeckePolynomialSatake:
@@ -216,8 +219,7 @@ def hecke_polynomial(rd: RootDatum, mu) -> HeckePolynomialSatake:
     SatakeError unless every e_j is Weyl invariant.  e_0 = 1 holds by
     construction: the loop writes only e_1 .. e_m.
     """
-    mu = tuple(mu)
-    _require_ints(mu, rd.rank, "cocharacter")
+    mu = _require_ints(mu, rd.rank, "rank-length cocharacter")
     if not is_minuscule(rd, mu):
         raise SatakeError(f"{mu} is not minuscule for {rd.name}")
     mu = dominant_representative(rd, mu)
@@ -252,8 +254,8 @@ def evaluate_vanishing(H: HeckePolynomialSatake,
     carries v**(dm), so the sum runs on one {exponent: int} map that drops
     each entry the moment it cancels; nothing is left when H vanishes at lam.
     """
-    lam = H.mu if lam is None else tuple(lam)
-    _require_ints(lam, H.rank, "exponent")
+    lam = _require_ints(H.mu if lam is None else lam, H.rank,
+                        "rank-length exponent")
     m = H.degree
     acc = {}
     for k, ej in enumerate(reversed(H.elementary)):
@@ -368,7 +370,8 @@ def polynomial_to_dict(H: HeckePolynomialSatake):
 
 def polynomial_from_dict(data) -> HeckePolynomialSatake:
     """Parse the form of ``polynomial_to_dict``; SatakeError on any other."""
-    rank, d, m = int(data["rank"]), int(data["d"]), int(data["degree"])
+    rank, d, m = _require_ints(
+        (data["rank"], data["d"], data["degree"]), 3, "rank, d and degree")
     coeffs = data["coefficients"]
     if len(coeffs) != m + 1:
         raise SatakeError(
@@ -377,7 +380,7 @@ def polynomial_from_dict(data) -> HeckePolynomialSatake:
     for k, entry in enumerate(coeffs):
         sign, e = (-1) ** (m - k), {}
         for lam, pairs in entry:
-            lam = tuple(int(x) for x in lam)
+            lam = _require_ints(lam, len(lam), "exponent")
             if len(lam) != rank or lam in e:
                 raise SatakeError(f"exponent {lam} is repeated or not of "
                                   f"rank {rank}")
@@ -392,7 +395,8 @@ def polynomial_from_dict(data) -> HeckePolynomialSatake:
             e[lam] = sign * num
         elementary[m - k] = e
     return HeckePolynomialSatake(
-        tuple(int(x) for x in data["mu"]), d, m, tuple(elementary), rank)
+        _require_ints(data["mu"], rank, "mu"), d, m,
+        tuple(elementary), rank)
 
 
 def polynomial_to_json(H: HeckePolynomialSatake) -> str:

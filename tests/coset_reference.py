@@ -1,7 +1,8 @@
-"""Left-coset expansion of the spherical Hecke algebra of GL_n(Q_p).
+"""Test references: left-coset expansion of the spherical Hecke algebra of
+GL_n(Q_p), and elementary divisors from determinantal divisors.
 
-A reference for the tests, independent of the closed forms in
-:mod:`heckesat.padic`.  A left-coset sum is a dict {PCoset: Fraction}
+Both are independent of the algorithms in :mod:`heckesat.padic` and
+:mod:`heckesat.intmat`.  A left-coset sum is a dict {PCoset: Fraction}
 with no zero coefficients.  The Satake transform here is the
 definition: restrict to the Borel (automatic for the upper-triangular
 Hermite representatives), read the diagonal off onto the torus, and
@@ -9,8 +10,10 @@ twist the coefficient at exponent chi by v**<delta, chi>.
 """
 
 from fractions import Fraction
+from itertools import combinations, product
+from math import gcd
 
-from heckesat.intmat import mat_mul, p_valuation
+from heckesat.intmat import det, mat_mul, p_valuation
 from heckesat.laurent import Laurent
 from heckesat.padic import (
     PCoset,
@@ -66,3 +69,23 @@ def satake_by_expansion(h):
     return reduce_mod_v2(GroupAlgebraElement(h.n, {
         chi: c * Laurent.v_power(sum(d * x for d, x in zip(delta, chi)))
         for chi, c in torus.terms.items()}), h.p)
+
+
+def snf_type_by_minors(m, p):
+    """Elementary-divisor exponents of a square m with p-power determinant.
+
+    The k-th determinantal divisor is the gcd of the k x k minors; the
+    p-valuations of consecutive divisors differ by the k-th exponent.
+    """
+    n = len(m)
+    vals, prev = [], 0
+    for k in range(1, n + 1):
+        g = 0
+        for rows, cols in product(combinations(range(n), k), repeat=2):
+            g = gcd(g, det([[m[i][j] for j in cols] for i in rows]))
+            if g == 1:
+                break
+        vk = p_valuation(g, p)
+        vals.append(vk - prev)
+        prev = vk
+    return tuple(sorted(vals, reverse=True))

@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from coset_reference import snf_type_by_minors
 from heckesat.intmat import (
     NormalFormError,
     coset_equal,
     det,
     hnf_padic,
     identity,
-    inverse_integer,
     inverse_rational,
     is_prime,
     mat_mul,
@@ -47,6 +47,17 @@ def test_hnf_rejects_bad_determinant():
         hnf_padic(((3, 0), (0, 1)), 2)
     with pytest.raises(NormalFormError):
         hnf_padic(((0, 0), (0, 1)), 2)
+    with pytest.raises(NormalFormError, match="square"):
+        hnf_padic(((1, 0, 0), (0, 1, 0)), 2)
+
+
+def test_snf_rejects_bad_input():
+    with pytest.raises(NormalFormError, match="singular"):
+        snf_type(((2, 4), (1, 2)), 2)
+    with pytest.raises(NormalFormError, match="other than 2"):
+        snf_type(((6, 0), (0, 1)), 2)
+    with pytest.raises(NormalFormError, match="square"):
+        snf_type(((1, 0, 0), (0, 1, 0)), 2)
 
 
 def test_snf_examples():
@@ -54,6 +65,16 @@ def test_snf_examples():
     assert snf_type(((2, 1), (0, 1)), 2) == (1, 0)
     assert snf_type(((4, 2), (0, 2)), 2) == (2, 1)
     assert snf_type(identity(3), 5) == (0, 0, 0)
+
+
+def test_normal_forms_keep_divisor_equal_to_det_power():
+    # an elementary divisor equal to p**k = |det| vanishes modulo p**k,
+    # so the forms must work modulo p**(k+1)
+    assert hnf_padic(((8,),), 2) == ((8,),)
+    assert snf_type(((8,),), 2) == (3,)
+    assert hnf_padic(((9, 4), (0, 1)), 3) == ((9, 4), (0, 1))
+    assert snf_type(((1, 1), (0, 9)), 3) == (2, 0)
+    assert hnf_padic(((-5, 0), (0, 5)), 5) == ((5, 0), (0, 5))
 
 
 def test_hnf_idempotent_and_sound_random():
@@ -89,13 +110,6 @@ def test_coset_equal_examples():
     g = ((2, 1), (0, 1))
     u = ((1, 2), (0, 1))
     assert coset_equal(g, mat_mul(g, u), 2)
-
-
-def test_inverse_integer():
-    u = ((1, 2), (0, 1))
-    assert mat_mul(u, inverse_integer(u)) == identity(2)
-    with pytest.raises(NormalFormError):
-        inverse_integer(((2, 0), (0, 1)))
 
 
 def test_inverse_rational():
@@ -183,8 +197,19 @@ def test_coset_equal_right_p_unit_invariance(data):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_normal_forms_invariant_under_unimodular(data):
+    n = data.draw(st.integers(1, 5))
     p = data.draw(st.sampled_from((2, 3, 5)))
-    m = data.draw(p_power_det_matrix(3, p))
-    u, v = data.draw(unimodular(3)), data.draw(unimodular(3))
+    m = data.draw(p_power_det_matrix(n, p))
+    u, v = data.draw(unimodular(n)), data.draw(unimodular(n))
     assert snf_type(mat_mul(mat_mul(u, m), v), p) == snf_type(m, p)
     assert hnf_padic(mat_mul(m, v), p) == hnf_padic(m, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_snf_type_matches_determinantal_divisors(data):
+    n = data.draw(st.integers(1, 5))
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    m = data.draw(p_power_det_matrix(n, p))
+    g = mat_mul(mat_mul(data.draw(unimodular(n)), m), data.draw(unimodular(n)))
+    assert snf_type(g, p) == snf_type_by_minors(g, p)

@@ -185,13 +185,20 @@ def test_product_of_sums_matches_full_expansion():
 
 
 @pytest.mark.parametrize("n,hi,primes", [
-    (2, 3, (2, 3, 5, 7)), (3, 2, (2, 3)), (4, 1, (2,))])
+    (2, 3, (2, 3, 5, 7)), (3, 2, (2, 3)), (4, 1, (2, 3))])
 def test_product_matches_hall_polynomials(n, hi, primes):
     for p in primes:
         for a, b in combinations_with_replacement(types(n, hi), 2):
             h1, h2 = (DoubleCosetSum.basis(t, n, p) for t in (a, b))
             assert convolve_double(h1, h2).terms == \
                 hall.hall_product(a, b, n, p), (a, b, p)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(types(4, 2)), st.sampled_from(types(4, 2)))
+def test_gl4_product_matches_hall_polynomials_property(a, b):
+    h1, h2 = (DoubleCosetSum.basis(t, 4, 2) for t in (a, b))
+    assert convolve_double(h1, h2).terms == hall.hall_product(a, b, 4, 2)
 
 
 def test_convolve_double_rejects_mismatch():

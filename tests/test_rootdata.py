@@ -216,6 +216,20 @@ def test_validate_rejects_reflection_that_does_not_permute_roots():
         rdm.from_dict(d)
 
 
+@pytest.mark.parametrize("edit, match", [
+    (lambda d: d["roots"].__setitem__(_root_index(d, (1, -1)), [1.9, -1.2]),
+     "root \\(1.9, -1.2\\) is not 2 ints"),
+    (lambda d: d.update(rank="2"), "rank \\('2',\\) is not 1 ints"),
+    (lambda d: d.update(simple_indices=[0.7]),
+     "indices \\(0.7,\\) is not 1 ints"),
+], ids=["float-root", "string-rank", "float-index"])
+def test_from_dict_rejects_non_integers(edit, match):
+    d = rdm.to_dict(build_group("GL(2)"))
+    edit(d)
+    with pytest.raises(RootDatumError, match=match):
+        rdm.from_dict(d)
+
+
 def test_unedited_gsp4_dict_is_accepted():
     assert rdm.from_dict(_gsp4_dict()) == build_group("GSp(4)")
 

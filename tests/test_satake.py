@@ -254,8 +254,14 @@ def _spoiled(edit):
      "1/2 at \\(0, 0\\) is not a nonzero integer"),
     (_spoiled(lambda d: d["coefficients"][1][1][1][0].__setitem__(1, [0, 1])),
      "0/1 at \\(1, 0\\) is not a nonzero integer"),
+    (_spoiled(lambda d: d["coefficients"][1][0].__setitem__(0, [0.9, 1.9])),
+     "exponent \\(0.9, 1.9\\) is not 2 ints"),
+    (_spoiled(lambda d: d.update(mu=[1.5, 0])),
+     "mu \\(1.5, 0\\) is not 2 ints"),
+    (_spoiled(lambda d: d.update(rank="2")), "is not 3 ints"),
 ], ids=["too-few", "too-many", "rank", "repeated", "two-powers",
-        "wrong-power", "fraction", "zero"])
+        "wrong-power", "fraction", "zero", "float-exponent", "float-mu",
+        "string-rank"])
 def test_polynomial_loader_rejects(data, match):
     with pytest.raises(SatakeError, match=match):
         sk.polynomial_from_dict(data)
