@@ -107,16 +107,20 @@ def frobenius_corr(v: FinitePointSet) -> Correspondence:
 def compose(c: Correspondence, d: Correspondence) -> Correspondence:
     if c.target != d.source:
         raise CorrespError("middle point sets do not match")
+    if not d.source.size:  # no row of d to give the product its width
+        return Correspondence(c.source, d.target,
+                              tuple((0,) * d.target.size for _ in c.weights))
     return Correspondence(c.source, d.target, mat_mul(c.weights, d.weights))
 
 
 def act(p: CycleZero, c: Correspondence) -> CycleZero:
-    """Right action of a correspondence on a zero-cycle."""
+    """Right action of a correspondence on a zero-cycle: the row vector
+    of coefficients times the weight matrix."""
     if p.base != c.source:
         raise CorrespError("cycle base does not match correspondence source")
-    coeffs = tuple(
-        sum(p.coefficients[i] * c.weights[i][j] for i in range(c.source.size))
-        for j in range(c.target.size))
+    if not c.source.size:
+        return CycleZero(c.target, (0,) * c.target.size)
+    (coeffs,) = mat_mul((p.coefficients,), c.weights)
     return CycleZero(c.target, coeffs)
 
 

@@ -337,7 +337,7 @@ def verify_frobenius_annihilation(curve: EllipticCurve, k=2,
     """pi^2(P) - [a_p] pi(P) + [p] P = O for every P in E(F_{p^k})."""
     field = field_ext(curve.p, k)
     if a_p is None:
-        a_p = curve.p + 1 - count_points(curve, 1)
+        a_p = frobenius_data(curve, 1).a_p
     for P in enumerate_points(field, curve):
         if P is None:
             continue
@@ -366,7 +366,7 @@ def satake_link(curve: EllipticCurve):
     polynomial is exactly t**2 - a_p t + p.
     """
     p = curve.p
-    a_p = p + 1 - count_points(curve, 1)
+    a_p = frobenius_data(curve, 1).a_p
     rd, H = _gl2_hecke_polynomial()
     s = SatakeParameterSymmetric(
         {(1, 0): QuadExt(0, Fraction(a_p, p), p), (1, 1): 1}, p)

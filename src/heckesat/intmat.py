@@ -33,13 +33,24 @@ def as_matrix(rows):
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    if len(a[0]) != k:
+    """a*b, each row a combination of the rows of b.
+
+    Row i is the sum of x * b[t] over the nonzero entries x = a[i][t], so a
+    zero entry of a costs one test and no row operation.  Entries may be
+    ints or Fractions.
+    """
+    width = len(b[0]) if b else 0
+    if any(len(r) != len(b) for r in a) or any(len(r) != width for r in b):
         raise NormalFormError("dimension mismatch in product")
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
+    out = []
+    for r in a:
+        acc = [0] * width
+        for x, row in zip(r, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, row)]
+        out.append(tuple(acc))
+    return tuple(out)
+
 
 def mat_vec(a, v):
     return tuple(sum(map(mul, row, v)) for row in a)

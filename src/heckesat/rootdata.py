@@ -38,8 +38,6 @@ from functools import cached_property
 
 from .intmat import apply_moved, identity, mat_mul, mat_vec, moved_rows
 
-Vector = tuple
-
 MAX_WEYL_ELEMENTS = 10 ** 6
 
 
@@ -65,10 +63,6 @@ class RootDatum:
     @property
     def simple_roots(self):
         return tuple(self.roots[i] for i in self.simple_indices)
-
-    @property
-    def simple_coroots(self):
-        return tuple(self.coroots[i] for i in self.simple_indices)
 
     @cached_property
     def _root_expansions(self):
@@ -126,16 +120,6 @@ class WeylGroup:
     rank: int
     elements: tuple      # integer matrices acting on X_*
     generators: tuple    # simple-reflection matrices, in simple_indices order
-
-
-@dataclass(frozen=True)
-class ParabolicData:
-    mu: Vector
-    levi_root_indices: tuple      # positive roots pairing 0 with mu
-    unipotent_root_indices: tuple  # positive roots pairing 1 with mu
-    delta: Vector
-    delta_p: Vector
-    d: int
 
 
 def _reflection_matrix_costar(root, coroot, rank):
@@ -435,32 +419,6 @@ def orbit(gens, mu):
     return seen
 
 
-def parabolic_data(rd: RootDatum, mu) -> ParabolicData:
-    """Levi/unipotent split determined by a dominant minuscule cocharacter."""
-    mu = _cocharacter(rd, mu)
-    if not is_minuscule(rd, mu):
-        raise RootDatumError(f"{mu} is not minuscule for {rd.name}")
-    if not is_dominant(rd, mu):
-        raise RootDatumError(f"{mu} is not dominant for {rd.name}")
-    pos = rd.positive_root_indices()
-    levi = tuple(i for i in pos if rd.pairing(rd.roots[i], mu) == 0)
-    unip = tuple(i for i in pos if rd.pairing(rd.roots[i], mu) == 1)
-    delta = rd.delta()
-    dp = [0] * rd.rank
-    for i in unip:
-        for a in range(rd.rank):
-            dp[a] += rd.roots[i][a]
-    delta_p = tuple(dp)
-    d1 = rd.pairing(delta, mu)
-    d2 = rd.pairing(delta_p, mu)
-    d3 = len(unip)
-    if not d1 == d2 == d3:
-        raise RuntimeError(
-            f"inconsistent d: <mu,delta>={d1}, <mu,delta_P>={d2}, #unip={d3}"
-        )
-    return ParabolicData(mu, levi, unip, delta, delta_p, d1)
-
-
 def enumerate_dominant_minuscule(rd: RootDatum, box=(0, 1)):
     """Dominant minuscule cocharacters with coordinates in the given box.
 
@@ -523,13 +481,15 @@ def from_dict(d) -> RootDatum:
     """Parse the form of ``to_dict``; RootDatumError unless it holds ints
     of the right lengths that form a root datum."""
     (rank,) = _ints((d["rank"],), 1, "rank")
-    simple = d["simple_indices"]
+    roots = tuple(_ints(r, rank, "root") for r in d["roots"])
+    simple = _ints(d["simple_indices"], len(d["simple_indices"]),
+                   "simple indices")
+    if any(i not in range(len(roots)) for i in simple):
+        raise RootDatumError(
+            f"simple indices {simple} are not all in range({len(roots)})")
     return validate(RootDatum(
-        d["name"], rank,
-        tuple(_ints(r, rank, "root") for r in d["roots"]),
-        tuple(_ints(c, rank, "coroot") for c in d["coroots"]),
-        _ints(simple, len(simple), "simple indices"),
-    ))
+        d["name"], rank, roots,
+        tuple(_ints(c, rank, "coroot") for c in d["coroots"]), simple))
 
 
 def to_json(rd: RootDatum) -> str:

@@ -30,9 +30,7 @@ from operator import add
 from .intmat import apply_moved, moved_rows
 from .laurent import Laurent, QuadExt
 from .rootdata import (
-    ParabolicData,
     RootDatum,
-    _reflection_matrix_costar,
     dominant_representative,
     is_minuscule,
     orbit,
@@ -270,25 +268,6 @@ def evaluate_vanishing(H: HeckePolynomialSatake,
                 del acc[nu]
     return GroupAlgebraElement._trusted(
         H.rank, {nu: Laurent.v_power(H.d * m, a) for nu, a in acc.items()})
-
-
-def restrict_to_levi(H: HeckePolynomialSatake, rd: RootDatum,
-                     levi: ParabolicData) -> HeckePolynomialSatake:
-    """Inclusion of full-Weyl invariants into Levi-Weyl invariants.
-
-    The coefficient data is unchanged, so H itself is returned after
-    re-verifying that every coefficient is invariant under the reflections
-    in the Levi roots; errors out otherwise.
-    """
-    gens = tuple(
-        _reflection_matrix_costar(rd.roots[i], rd.coroots[i], rd.rank)
-        for i in levi.levi_root_indices
-    )
-    for ej in H.elementary:
-        if not is_weyl_invariant(gens, ej):
-            raise RuntimeError("coefficient not invariant under the Levi Weyl "
-                               "group; internal inconsistency")
-    return H
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,24 @@ GSP4_SIEGEL_JSON = (
     '[[1, 0, 1], [[3, [-1, 1]]]], [[1, 1, 1], [[3, [-1, 1]]]]], '
     '[[[0, 0, 0], [[0, [1, 1]]]]]], "d": 3, "degree": 4, "group": "GSp(4)", '
     '"mu": [1, 1, 1], "vanishing_at_mu": true}\n')
+CORRESP_SEED0_JSON = (
+    '{"checks": {"composition associativity (100 triples)": true, '
+    '"point mass under Frobenius graph": true, '
+    '"vanishing iff zero matrix (50 cases)": true}, "passed": true, '
+    '"suite": "corresp"}\n')
+FROBDEMO_P5_JSON = (
+    '{"checks": {"y^2=x^3+0x+1 over F_5": true, '
+    '"y^2=x^3+0x+2 over F_5": true, "y^2=x^3+0x+3 over F_5": true, '
+    '"y^2=x^3+0x+4 over F_5": true, "y^2=x^3+1x+0 over F_5": true, '
+    '"y^2=x^3+1x+1 over F_5": true, "y^2=x^3+1x+2 over F_5": true, '
+    '"y^2=x^3+1x+3 over F_5": true, "y^2=x^3+1x+4 over F_5": true, '
+    '"y^2=x^3+2x+0 over F_5": true, "y^2=x^3+2x+1 over F_5": true, '
+    '"y^2=x^3+2x+4 over F_5": true, "y^2=x^3+3x+0 over F_5": true, '
+    '"y^2=x^3+3x+2 over F_5": true, "y^2=x^3+3x+3 over F_5": true, '
+    '"y^2=x^3+4x+0 over F_5": true, "y^2=x^3+4x+1 over F_5": true, '
+    '"y^2=x^3+4x+2 over F_5": true, "y^2=x^3+4x+3 over F_5": true, '
+    '"y^2=x^3+4x+4 over F_5": true}, "passed": true, '
+    '"suite": "frobdemo"}\n')
 
 
 def test_hecke_poly_golden_output(capsys):
@@ -185,5 +203,16 @@ def test_hecke_poly_golden_output(capsys):
          GL2_JSON),
         (["--format", "json", "hecke-poly", "--group", "GSp4",
           "--mu", "siegel"], GSP4_SIEGEL_JSON),
+    ):
+        assert run(capsys, *argv) == (0, expected, ""), argv
+
+
+def test_verify_golden_output(capsys):
+    # the correspondence and Frobenius suites, byte for byte
+    for argv, expected in (
+        (["--format", "json", "verify", "corresp", "--seed", "0"],
+         CORRESP_SEED0_JSON),
+        (["--format", "json", "verify", "frobdemo", "--p", "5",
+          "--exhaustive"], FROBDEMO_P5_JSON),
     ):
         assert run(capsys, *argv) == (0, expected, ""), argv

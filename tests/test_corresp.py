@@ -142,3 +142,46 @@ def test_json_roundtrip_property(c):
     text = corr_to_json(c)
     back = corr_from_json(text)
     assert back == c and corr_to_json(back) == text
+
+
+def test_compose_through_empty_point_set_is_zero():
+    empty = FinitePointSet(0, (), 5, 1)
+    ps, qs = make_set(3), make_set(2)
+    c = Correspondence(ps, empty, ((), (), ()))
+    d = Correspondence(empty, qs, ())
+    out = compose(c, d)
+    assert (out.source, out.target) == (ps, qs)
+    assert out.weights == ((0, 0), (0, 0), (0, 0))
+    assert vanishing_test(out)
+    assert compose(d, Correspondence(qs, ps, ((1, 2, 3), (4, 5, 6)))).weights \
+        == ()
+
+
+def test_act_on_empty_source_is_target_zero_cycle():
+    empty = FinitePointSet(0, (), 5, 1)
+    ps = make_set(3)
+    out = act(CycleZero(empty, ()), Correspondence(empty, ps, ()))
+    assert out == CycleZero(ps, (0, 0, 0))
+    assert act(CycleZero(ps, (1, 2, 3)),
+               Correspondence(ps, empty, ((), (), ()))) == CycleZero(empty, ())
+
+
+def test_act_is_explicit_sum_random():
+    rng = random.Random(5)
+    for _ in range(30):
+        src, tgt = make_set(rng.randint(1, 6)), make_set(rng.randint(1, 6))
+        c = Correspondence(src, tgt, tuple(
+            tuple(rng.choice((0, 0, rng.randint(-4, 4)))
+                  for _ in range(tgt.size)) for _ in range(src.size)))
+        p = CycleZero(src, tuple(rng.randint(-3, 3) for _ in range(src.size)))
+        assert act(p, c).coefficients == tuple(
+            sum(p.coefficients[i] * c.weights[i][j] for i in range(src.size))
+            for j in range(tgt.size))
+
+
+def test_vanishing_sees_last_entry_of_last_row():
+    ps = make_set(5)
+    weights = [[0] * 5 for _ in range(5)]
+    weights[-1][-1] = 1
+    assert not vanishing_test(
+        Correspondence(ps, ps, tuple(map(tuple, weights))))

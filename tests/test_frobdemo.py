@@ -96,6 +96,17 @@ def test_frobenius_annihilation():
                                              a_p=-2)
 
 
+@pytest.mark.parametrize("check", [
+    lambda curve: verify_frobenius_annihilation(curve, 2),
+    satake_link,
+], ids=["annihilation", "satake_link"])
+def test_a_p_outside_hasse_bound_raises(monkeypatch, check):
+    # N_1 = 20 over F_5 gives a_p = -14, and 14**2 > 4 * 5
+    monkeypatch.setattr(el, "count_points", lambda curve, k=1: 20)
+    with pytest.raises(RuntimeError, match="Hasse bound"):
+        check(EllipticCurve(5, 1, 1))
+
+
 def test_group_law_sanity():
     curve = EllipticCurve(5, 1, 1)
     field = FieldExt(5, 1)

@@ -213,3 +213,53 @@ def test_snf_type_matches_determinantal_divisors(data):
     m = data.draw(p_power_det_matrix(n, p))
     g = mat_mul(mat_mul(data.draw(unimodular(n)), m), data.draw(unimodular(n)))
     assert snf_type(g, p) == snf_type_by_minors(g, p)
+
+
+def _dense_product(a, b):
+    """Reference a*b by the triple sum over every entry."""
+    return tuple(
+        tuple(sum(a[i][t] * b[t][j] for t in range(len(b)))
+              for j in range(len(b[0])))
+        for i in range(len(a)))
+
+
+def _entries(kind):
+    ints = st.integers(-9, 9)
+    fracs = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    return {"int": ints, "fraction": fracs,
+            "sparse": st.one_of(st.just(0), st.just(0), st.just(0), ints),
+            "mixed": st.one_of(ints, fracs)}[kind]
+
+
+def matrix(rows, cols, kind):
+    """A rows x cols strategy; a permutation matrix is rows x rows."""
+    if kind == "permutation":
+        return st.permutations(range(rows)).map(lambda perm: tuple(
+            tuple(int(j == perm[i]) for j in range(rows))
+            for i in range(rows)))
+    return st.lists(st.lists(_entries(kind), min_size=cols, max_size=cols)
+                    .map(tuple), min_size=rows, max_size=rows).map(tuple)
+
+
+KINDS = ("int", "fraction", "sparse", "mixed", "permutation")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mat_mul_matches_dense_triple_sum(data):
+    kind_a, kind_b = (data.draw(st.sampled_from(KINDS)) for _ in range(2))
+    n, k, m = (data.draw(st.integers(1, 5)) for _ in range(3))
+    a = data.draw(matrix(n, k, kind_a))
+    b = data.draw(matrix(len(a[0]), m, kind_b))
+    assert mat_mul(a, b) == _dense_product(a, b)
+
+
+@pytest.mark.parametrize("a, b", [
+    (((1, 2),), ((1, 2),)),                 # 1x2 times 1x2
+    (((1, 2, 3), (4, 5, 6)), ((1,), (2,))),  # 2x3 times 2x1
+    (((1, 2), (1,)), ((1,), (2,))),         # ragged a
+    (((1, 1),), ((1, 2), (3,))),            # ragged b
+], ids=["1x2-1x2", "2x3-2x1", "ragged-a", "ragged-b"])
+def test_mat_mul_rejects_mismatched_shapes(a, b):
+    with pytest.raises(NormalFormError, match="dimension mismatch"):
+        mat_mul(a, b)

@@ -14,11 +14,11 @@ from heckesat.rootdata import (
     is_minuscule,
     named_cocharacter,
     orbit,
-    parabolic_data,
     simple_reflections,
     weyl_group,
     weyl_order_formula,
 )
+from heckesat.satake import hecke_polynomial
 
 GROUPS = ["GL(2)", "GL(3)", "GL(4)", "SL(2)", "SL(3)",
           "GSp(4)", "GSp(6)", "GSO(8)", "GSpin(7)"]
@@ -97,12 +97,6 @@ def test_dominant_representative_rejects_cocharacter_of_wrong_shape(mu):
         dominant_representative(build_group("GL(2)"), mu)
 
 
-@pytest.mark.parametrize("mu", [(1, 0, 0), (1,), (1.5, 0.5)])
-def test_parabolic_data_rejects_cocharacter_of_wrong_shape(mu):
-    with pytest.raises(RootDatumError, match="is not 2 ints"):
-        parabolic_data(build_group("GL(2)"), mu)
-
-
 def test_minuscule_and_dominant():
     rd = build_group("GL(2)")
     assert is_minuscule(rd, (1, 0))
@@ -129,22 +123,15 @@ def test_dominant_representative_is_orbit_invariant():
     ("GSpin(7)", "spin", 6, 5),
 ])
 def test_parabolic_data(name, alias, orbit_size, d):
+    # d of the Hecke polynomial against <delta, mu> and against the count
+    # of positive roots that pair to 1 with mu, each computed here
     rd = build_group(name)
     mu = named_cocharacter(rd, alias)
-    pd = parabolic_data(rd, mu)
-    assert pd.d == d
+    unipotent = sum(1 for i in rd.positive_root_indices()
+                    if rd.pairing(rd.roots[i], mu) == 1)
+    assert hecke_polynomial(rd, mu).d == rd.pairing(rd.delta(), mu) \
+        == unipotent == d
     assert len(orbit(weyl_group(rd).generators, mu)) == orbit_size
-    # the three computations of d agree by construction; spot check two
-    assert rd.pairing(pd.delta, mu) == d
-    assert len(pd.unipotent_root_indices) == d
-
-
-def test_parabolic_rejects_bad_input():
-    rd = build_group("GL(2)")
-    with pytest.raises(RootDatumError):
-        parabolic_data(rd, (2, 0))
-    with pytest.raises(RootDatumError):
-        parabolic_data(rd, (0, 1))
 
 
 def test_central_cocharacter_pairs_zero():
@@ -227,6 +214,16 @@ def test_from_dict_rejects_non_integers(edit, match):
     d = rdm.to_dict(build_group("GL(2)"))
     edit(d)
     with pytest.raises(RootDatumError, match=match):
+        rdm.from_dict(d)
+
+
+@pytest.mark.parametrize("simple", [[5], [-1], [2], [0, -2]],
+                         ids=["five", "minus-one", "one-past-end",
+                              "negative-second"])
+def test_from_dict_rejects_simple_index_out_of_range(simple):
+    d = rdm.to_dict(build_group("GL(2)"))
+    d["simple_indices"] = simple
+    with pytest.raises(RootDatumError, match="not all in range\\(2\\)"):
         rdm.from_dict(d)
 
 

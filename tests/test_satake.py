@@ -15,7 +15,6 @@ from heckesat.rootdata import (
     enumerate_dominant_minuscule,
     named_cocharacter,
     orbit,
-    parabolic_data,
     simple_reflections,
     weyl_group,
 )
@@ -135,19 +134,6 @@ def test_degree_d_table():
         rd = build_group(name)
         H = hecke_polynomial(rd, named_cocharacter(rd, alias))
         assert (H.degree, H.d) == (degree, d)
-
-
-def test_restrict_to_levi():
-    rd = build_group("GL(4)")
-    mu = (1, 1, 0, 0)
-    H = hecke_polynomial(rd, mu)
-    pd = parabolic_data(rd, mu)
-    H2 = sk.restrict_to_levi(H, rd, pd)
-    assert H2.coefficients == H.coefficients
-    rd7 = build_group("GSpin(7)")
-    mu7 = named_cocharacter(rd7, "spin")
-    sk.restrict_to_levi(hecke_polynomial(rd7, mu7), rd7,
-                        parabolic_data(rd7, mu7))
 
 
 def test_specialize_gl2():
