@@ -2,8 +2,8 @@
 
 Subpackages:
 
-* :mod:`heckesat.laurent` -- exact Laurent polynomials in v (v**2 = q)
-  and the quadratic extension Q[v]/(v**2 - p).
+* :mod:`heckesat.laurent` -- exact Laurent polynomials in v (v**2 = q),
+  reduced to a + b*v in Q[v]/(v**2 - p) by ``Laurent.eval_quad``.
 * :mod:`heckesat.intmat` -- integer-matrix normal forms at a prime.
 * :mod:`heckesat.rootdata` -- based root data, Weyl groups, duality,
   minuscule cocharacters.

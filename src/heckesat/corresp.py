@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .intmat import mat_mul
+from .intmat import int_tuple, mat_mul
 
 
 class CorrespError(ValueError):
@@ -30,6 +30,9 @@ class FinitePointSet:
     m: int
 
     def __post_init__(self):
+        if self.q < 2 or self.m < 1:
+            raise CorrespError(f"need q >= 2 and m >= 1, got q = {self.q}, "
+                               f"m = {self.m}")
         if sorted(self.frobenius) != list(range(self.size)):
             raise CorrespError("frobenius is not a permutation")
         if self._perm_power(self.m) != tuple(range(self.size)):
@@ -140,9 +143,10 @@ def point_set_to_dict(v: FinitePointSet):
 
 
 def point_set_from_dict(d) -> FinitePointSet:
-    return FinitePointSet(int(d["size"]),
-                          tuple(int(x) for x in d["frobenius"]),
-                          int(d["q"]), int(d["m"]))
+    size, q, m = int_tuple((d["size"], d["q"], d["m"]), 3, "size, q and m",
+                           CorrespError)
+    return FinitePointSet(
+        size, int_tuple(d["frobenius"], size, "frobenius", CorrespError), q, m)
 
 
 def corr_to_dict(c: Correspondence):
@@ -152,9 +156,11 @@ def corr_to_dict(c: Correspondence):
 
 
 def corr_from_dict(d) -> Correspondence:
-    return Correspondence(
-        point_set_from_dict(d["source"]), point_set_from_dict(d["target"]),
-        tuple(tuple(int(x) for x in r) for r in d["weights"]))
+    source = point_set_from_dict(d["source"])
+    target = point_set_from_dict(d["target"])
+    return Correspondence(source, target, tuple(
+        int_tuple(r, target.size, "weight row", CorrespError)
+        for r in d["weights"]))
 
 
 def corr_to_json(c) -> str:

@@ -2,10 +2,11 @@
 
 Everything is exhaustive and exact.  F_{p^k} is a table-driven field
 (``FieldExt``): elements are ints, and multiplication, inversion, powers,
-Frobenius and addition are lookups in log/antilog/Zech tables built once
-per (p, k).  Point counts come from a full x-sweep against a square
-table, the group law is the chord-tangent formula, and the Frobenius
-endomorphism is the coordinate p-power map.  The headline checks are
+Frobenius, square roots and addition are lookups in log/antilog/Zech
+tables built once per (p, k).  Point counts come from a full x-sweep
+that reads squares off the log table, the group law is the
+chord-tangent formula, and the Frobenius endomorphism is the coordinate
+p-power map.  The headline checks are
 
 * count consistency: N_k = p^k + 1 - s_k with s_1 = a_p,
   s_k = a_p s_{k-1} - p s_{k-2};
@@ -24,7 +25,7 @@ from functools import cache
 
 from .corresp import FinitePointSet
 from .intmat import is_prime
-from .laurent import QuadExt
+from .laurent import Laurent
 from .rootdata import build_group
 from .satake import SatakeParameterSymmetric, hecke_polynomial, specialize
 
@@ -187,6 +188,21 @@ class FieldExt:
             raise CurveError("division by zero in field extension")
         return self._exp[self._n - self._log[a]]
 
+    def sqrt(self, a):
+        """A square root of a, or None when a is not a square.
+
+        a = x^e is a square iff e is even, except for p = 2, where the
+        group order n is odd and x^e = x^(e + n) makes every e even.
+        """
+        if not a:
+            return 0
+        e = self._log[a]
+        if e % 2:
+            if not self._n % 2:
+                return None
+            e += self._n
+        return self._exp[e // 2]
+
     def frob(self, a):
         """The p-power Frobenius of an element."""
         return self.pow(a, self.p)
@@ -224,24 +240,19 @@ class FrobeniusData:
     ordinary: bool
 
 
-def _square_table(field):
-    """table[s] = number of square roots y of s, over the whole field."""
-    table = bytearray(field.order)
-    for y in field.elements():
-        table[field.mul(y, y)] += 1
-    return table
-
-
 def count_points(curve: EllipticCurve, k=1) -> int:
-    """#E(F_{p^k}) by exhaustive x-sweep against a full square table."""
+    """#E(F_{p^k}) by exhaustive x-sweep: rhs 0 gives one point, a nonzero
+    square two."""
     field = field_ext(curve.p, k)
-    table = _square_table(field)
     a, b = field.embed(curve.a), field.embed(curve.b)
     total = 1  # the point at infinity
     for x in field.elements():
         rhs = field.add(field.mul(field.mul(x, x), x),
                         field.add(field.mul(a, x), b))
-        total += table[rhs]
+        if not rhs:
+            total += 1
+        elif field.sqrt(rhs) is not None:
+            total += 2
     return total
 
 
@@ -319,16 +330,14 @@ def scalar_mult(field, curve, m, P):
 
 def enumerate_points(field, curve):
     """Affine points plus None for infinity, in deterministic order."""
-    roots = {}
-    for y in field.elements():
-        roots.setdefault(field.mul(y, y), []).append(y)
     a, b = field.embed(curve.a), field.embed(curve.b)
     pts = [None]
-    for x in sorted(field.elements()):
+    for x in field.elements():
         rhs = field.add(field.mul(field.mul(x, x), x),
                         field.add(field.mul(a, x), b))
-        for y in sorted(roots.get(rhs, [])):
-            pts.append((x, y))
+        y = field.sqrt(rhs)
+        if y is not None:
+            pts.extend((x, r) for r in sorted({y, field.neg(y)}))
     return pts
 
 
@@ -369,7 +378,7 @@ def satake_link(curve: EllipticCurve):
     a_p = frobenius_data(curve, 1).a_p
     rd, H = _gl2_hecke_polynomial()
     s = SatakeParameterSymmetric(
-        {(1, 0): QuadExt(0, Fraction(a_p, p), p), (1, 1): 1}, p)
+        {(1, 0): Laurent.v_power(1, Fraction(a_p, p)), (1, 1): 1}, p)
     coeffs = specialize(H, s, rd)
     ok = coeffs == [Fraction(p), Fraction(-a_p), Fraction(1)]
     return ok, coeffs

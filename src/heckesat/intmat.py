@@ -19,6 +19,14 @@ class NormalFormError(ValueError):
     pass
 
 
+def int_tuple(xs, size, what, error):
+    """xs as a tuple; raises error unless it is exactly size ints."""
+    xs = tuple(xs)
+    if len(xs) != size or not all(isinstance(x, int) for x in xs):
+        raise error(f"{what} {xs} is not {size} ints")
+    return xs
+
+
 def is_prime(n):
     if n < 2:
         return False

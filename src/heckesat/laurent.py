@@ -2,7 +2,9 @@
 
 All coefficient arithmetic is exact: coefficients are Python ints or
 ``fractions.Fraction``.  The zero polynomial is the empty coefficient map;
-no stored coefficient is ever zero.
+no stored coefficient is ever zero.  The same type serves as the scalar
+ring Q[v]/(v**2 - p) once q is fixed to a prime p: ``eval_quad`` reduces
+a Laurent to its canonical form a + b*v.
 """
 
 from __future__ import annotations
@@ -95,19 +97,18 @@ class Laurent:
         return hash(frozenset(self.coeffs.items()))
 
     def eval_quad(self, p):
-        """Evaluate in Q[v]/(v**2 - p), returning a QuadExt."""
-        a = Fraction(0)
-        b = Fraction(0)
+        """The reduced form a + b*v equal to self when v**2 = p.
+
+        Returns a Laurent with exponents in {0, 1}: v**e is
+        p**(e // 2) * v**(e % 2), also for negative e since v is
+        invertible, so this is the ring map onto Q[v]/(v**2 - p).
+        """
+        d = {}
         for e, c in self.coeffs.items():
-            # v**e = p**(e // 2) * v**(e % 2); for negative e the floor
-            # division still gives v**e exactly since v is invertible.
             half, rem = divmod(e, 2)
-            scale = Fraction(p) ** half
-            if rem == 0:
-                a += c * scale
-            else:
-                b += c * scale
-        return QuadExt(a, b, p)
+            c = c * p ** half if half >= 0 else Fraction(c, p ** -half)
+            d[rem] = d.get(rem, 0) + c
+        return Laurent(d)
 
     def __repr__(self):
         if not self.coeffs:
@@ -122,64 +123,3 @@ class Laurent:
             else:
                 parts.append(f"{c}*v^{e}" if c != 1 else f"v^{e}")
         return " + ".join(parts)
-
-
-class QuadExt:
-    """Element a + b*v of the quadratic extension Q[v]/(v**2 - p)."""
-
-    __slots__ = ("a", "b", "p")
-
-    def __init__(self, a, b=0, p=None):
-        if p is None:
-            raise ValueError("QuadExt needs the prime p with v**2 = p")
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.p = int(p)
-
-    def _check(self, other):
-        if self.p != other.p:
-            raise ValueError("mixed QuadExt primes")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuadExt(self.a + other, self.b, self.p)
-        self._check(other)
-        return QuadExt(self.a + other.a, self.b + other.b, self.p)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.p)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, QuadExt) else -Fraction(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuadExt(self.a * other, self.b * other, self.p)
-        self._check(other)
-        return QuadExt(
-            self.a * other.a + self.p * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-            self.p,
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
-        if not isinstance(other, QuadExt):
-            return NotImplemented
-        return self.p == other.p and self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.p))
-
-    def is_rational(self):
-        return self.b == 0
-
-    def __repr__(self):
-        if self.b == 0:
-            return f"{self.a}"
-        return f"{self.a} + {self.b}*sqrt({self.p})"

@@ -275,11 +275,8 @@ def measure_intersection(g: PCoset) -> Fraction:
 
 def reduce_mod_v2(x: GroupAlgebraElement, p) -> GroupAlgebraElement:
     """Reduce every v-coefficient modulo v**2 - p (canonical a + b*v form)."""
-    out = {}
-    for lam, c in x.terms.items():
-        q = c.eval_quad(p)
-        out[lam] = Laurent({0: q.a, 1: q.b})
-    return GroupAlgebraElement(x.rank, out)
+    return GroupAlgebraElement(
+        x.rank, {lam: c.eval_quad(p) for lam, c in x.terms.items()})
 
 
 @cache

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .intmat import apply_moved, identity, mat_mul, mat_vec, moved_rows
+from .intmat import (
+    apply_moved, identity, int_tuple, mat_mul, mat_vec, moved_rows)
 
 MAX_WEYL_ELEMENTS = 10 ** 6
 
@@ -357,17 +358,10 @@ def weyl_order_formula(rd: RootDatum):
     raise RootDatumError(rd.name)
 
 
-def _ints(xs, size, what):
-    """xs as a tuple; RootDatumError unless it is exactly size ints."""
-    xs = tuple(xs)
-    if len(xs) != size or not all(isinstance(x, int) for x in xs):
-        raise RootDatumError(f"{what} {xs} is not {size} ints")
-    return xs
-
-
 def _cocharacter(rd: RootDatum, mu):
     """mu as a tuple; RootDatumError unless it is exactly rd.rank ints."""
-    return _ints(mu, rd.rank, f"{rd.name} cocharacter")
+    return int_tuple(mu, rd.rank, f"{rd.name} cocharacter",
+                     RootDatumError)
 
 
 def is_minuscule(rd: RootDatum, mu) -> bool:
@@ -419,15 +413,15 @@ def orbit(gens, mu):
     return seen
 
 
-def enumerate_dominant_minuscule(rd: RootDatum, box=(0, 1)):
-    """Dominant minuscule cocharacters with coordinates in the given box.
+def enumerate_dominant_minuscule(rd: RootDatum):
+    """Dominant minuscule cocharacters with coordinates in {0, 1}.
 
     Every noncentral minuscule orbit of the constructor groups has a
     representative in the {0,1} box under the documented bases.
     """
     from itertools import product
     out = []
-    for mu in product(range(box[0], box[1] + 1), repeat=rd.rank):
+    for mu in product((0, 1), repeat=rd.rank):
         if is_minuscule(rd, mu) and is_dominant(rd, mu):
             out.append(mu)
     return out
@@ -480,16 +474,18 @@ def to_dict(rd: RootDatum):
 def from_dict(d) -> RootDatum:
     """Parse the form of ``to_dict``; RootDatumError unless it holds ints
     of the right lengths that form a root datum."""
-    (rank,) = _ints((d["rank"],), 1, "rank")
-    roots = tuple(_ints(r, rank, "root") for r in d["roots"])
-    simple = _ints(d["simple_indices"], len(d["simple_indices"]),
-                   "simple indices")
+    (rank,) = int_tuple((d["rank"],), 1, "rank", RootDatumError)
+    roots = tuple(int_tuple(r, rank, "root", RootDatumError)
+                  for r in d["roots"])
+    simple = int_tuple(d["simple_indices"], len(d["simple_indices"]),
+                       "simple indices", RootDatumError)
     if any(i not in range(len(roots)) for i in simple):
         raise RootDatumError(
             f"simple indices {simple} are not all in range({len(roots)})")
     return validate(RootDatum(
         d["name"], rank, roots,
-        tuple(_ints(c, rank, "coroot") for c in d["coroots"]), simple))
+        tuple(int_tuple(c, rank, "coroot", RootDatumError)
+              for c in d["coroots"]), simple))
 
 
 def to_json(rd: RootDatum) -> str:

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from .intmat import apply_moved, moved_rows
-from .laurent import Laurent, QuadExt
+from .intmat import apply_moved, int_tuple, moved_rows
+from .laurent import Laurent
 from .rootdata import (
     RootDatum,
     dominant_representative,
@@ -199,14 +199,6 @@ class HeckePolynomialSatake:
             for k in range(m + 1))
 
 
-def _require_ints(xs, size, what):
-    """xs as a tuple; SatakeError unless it is exactly size ints."""
-    xs = tuple(xs)
-    if len(xs) != size or not all(isinstance(x, int) for x in xs):
-        raise SatakeError(f"{what} {xs} is not {size} ints")
-    return xs
-
-
 def hecke_polynomial(rd: RootDatum, mu) -> HeckePolynomialSatake:
     """Expand prod_{lam in W.mu} (t - v**d e^lam) by powers of t.
 
@@ -217,7 +209,7 @@ def hecke_polynomial(rd: RootDatum, mu) -> HeckePolynomialSatake:
     SatakeError unless every e_j is Weyl invariant.  e_0 = 1 holds by
     construction: the loop writes only e_1 .. e_m.
     """
-    mu = _require_ints(mu, rd.rank, "rank-length cocharacter")
+    mu = int_tuple(mu, rd.rank, "rank-length cocharacter", SatakeError)
     if not is_minuscule(rd, mu):
         raise SatakeError(f"{mu} is not minuscule for {rd.name}")
     mu = dominant_representative(rd, mu)
@@ -252,8 +244,8 @@ def evaluate_vanishing(H: HeckePolynomialSatake,
     carries v**(dm), so the sum runs on one {exponent: int} map that drops
     each entry the moment it cancels; nothing is left when H vanishes at lam.
     """
-    lam = _require_ints(H.mu if lam is None else lam, H.rank,
-                        "rank-length exponent")
+    lam = int_tuple(H.mu if lam is None else lam, H.rank,
+                    "rank-length exponent", SatakeError)
     m = H.degree
     acc = {}
     for k, ej in enumerate(reversed(H.elementary)):
@@ -278,8 +270,8 @@ class SatakeParameterSymmetric:
     """Exact values assigned to Weyl-orbit sums of exponentials.
 
     ``values`` maps the dominant representative of each needed orbit to a
-    scalar: a Fraction/int or a QuadExt over Z[v]/(v**2 - p).  ``p`` is
-    the prime used to evaluate the v-powers multiplying each orbit sum.
+    scalar: a Fraction/int, or a Laurent in v read modulo v**2 - p.  ``p``
+    is the prime used to evaluate the v-powers multiplying each orbit sum.
     """
     values: dict
     p: int
@@ -308,13 +300,12 @@ def specialize(H: HeckePolynomialSatake, s: SatakeParameterSymmetric,
     """Replace each orbit sum by its assigned scalar and v**2 by p.
 
     Returns the list of scalar coefficients in ascending degree; entries
-    are Fraction when rational, else QuadExt.
+    are Fraction when rational, else the reduced Laurent a + b*v.
     """
     out = []
     for c in H.coefficients:
-        dec = orbit_sum_decomposition(rd, c)
-        total = QuadExt(0, 0, s.p)
-        for rep, lau in dec.items():
+        total = Laurent()
+        for rep, lau in orbit_sum_decomposition(rd, c).items():
             if rep not in s.values:
                 if all(x == 0 for x in rep):
                     val = 1  # the trivial orbit sum e^0 is the unit
@@ -322,10 +313,10 @@ def specialize(H: HeckePolynomialSatake, s: SatakeParameterSymmetric,
                     raise SatakeError(f"no Satake value assigned to orbit {rep}")
             else:
                 val = s.values[rep]
-            if not isinstance(val, QuadExt):
-                val = QuadExt(val, 0, s.p)
-            total = total + lau.eval_quad(s.p) * val
-        out.append(total.a if total.is_rational() else total)
+            total = total + lau * val
+        total = total.eval_quad(s.p)
+        out.append(total if 1 in total.coeffs
+                   else Fraction(total.coeffs.get(0, 0)))
     return out
 
 
@@ -349,8 +340,8 @@ def polynomial_to_dict(H: HeckePolynomialSatake):
 
 def polynomial_from_dict(data) -> HeckePolynomialSatake:
     """Parse the form of ``polynomial_to_dict``; SatakeError on any other."""
-    rank, d, m = _require_ints(
-        (data["rank"], data["d"], data["degree"]), 3, "rank, d and degree")
+    rank, d, m = int_tuple((data["rank"], data["d"], data["degree"]), 3,
+                           "rank, d and degree", SatakeError)
     coeffs = data["coefficients"]
     if len(coeffs) != m + 1:
         raise SatakeError(
@@ -359,7 +350,7 @@ def polynomial_from_dict(data) -> HeckePolynomialSatake:
     for k, entry in enumerate(coeffs):
         sign, e = (-1) ** (m - k), {}
         for lam, pairs in entry:
-            lam = _require_ints(lam, len(lam), "exponent")
+            lam = int_tuple(lam, len(lam), "exponent", SatakeError)
             if len(lam) != rank or lam in e:
                 raise SatakeError(f"exponent {lam} is repeated or not of "
                                   f"rank {rank}")
@@ -374,7 +365,7 @@ def polynomial_from_dict(data) -> HeckePolynomialSatake:
             e[lam] = sign * num
         elementary[m - k] = e
     return HeckePolynomialSatake(
-        _require_ints(data["mu"], rank, "mu"), d, m,
+        int_tuple(data["mu"], rank, "mu", SatakeError), d, m,
         tuple(elementary), rank)
 
 

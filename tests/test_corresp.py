@@ -10,6 +10,7 @@ from heckesat.corresp import (
     FinitePointSet,
     act,
     compose,
+    corr_from_dict,
     corr_from_json,
     corr_to_json,
     frobenius_corr,
@@ -35,6 +36,34 @@ def test_point_set_validation():
     with pytest.raises(CorrespError):
         FinitePointSet(3, (1, 2, 0), 5, 1)  # order 3 does not divide m=1
     FinitePointSet(3, (1, 2, 0), 5, 3)
+
+
+@pytest.mark.parametrize("q, m", [(5, 0), (5, -1), (1, 1), (0, 1)],
+                         ids=["m-zero", "m-negative", "q-one", "q-zero"])
+def test_point_set_rejects_small_q_or_m(q, m):
+    with pytest.raises(CorrespError):
+        FinitePointSet(1, (0,), q, m)
+
+
+def _corr_dict(weights=((1, 0), (0, 3)), **fields):
+    ps = {"size": 2, "frobenius": [0, 1], "q": 5, "m": 1}
+    return {"source": dict(ps, **fields), "target": ps,
+            "weights": [list(r) for r in weights]}
+
+
+@pytest.mark.parametrize("d", [
+    _corr_dict(weights=[[1.9, 0], [0, 0]]),
+    _corr_dict(weights=[[1, 0], [0, "3"]]),
+    _corr_dict(q=5.5),
+    _corr_dict(m="1"),
+    _corr_dict(size=2.0),
+    _corr_dict(frobenius=[0, 1.0]),
+    _corr_dict(m=0),
+], ids=["float-weight", "str-weight", "float-q", "str-m", "float-size",
+        "float-frobenius", "m-zero"])
+def test_corr_from_dict_rejects_non_int_fields(d):
+    with pytest.raises(CorrespError):
+        corr_from_dict(d)
 
 
 def test_compose_identity():

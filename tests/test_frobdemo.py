@@ -258,6 +258,29 @@ def test_field_axioms(fabc):
         assert f.pow(a, 5) == mul(a, mul(mul(a, a), mul(a, a)))
 
 
+@pytest.mark.parametrize("p,k", FIELD_SIZES)
+def test_sqrt_finds_exactly_the_squares(p, k):
+    f = el.field_ext(p, k)
+    squares = {f.mul(y, y) for y in f.elements()}
+    for a in f.elements():
+        root = f.sqrt(a)
+        assert (root is not None) == (a in squares)
+        if root is not None:
+            assert f.mul(root, root) == a
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 3), (5, 2), (7, 1), (13, 1)])
+def test_enumerate_points_matches_brute_force(p, k):
+    f = el.field_ext(p, k)
+    for curve in all_curves(p)[::3]:
+        a, b = f.embed(curve.a), f.embed(curve.b)
+        pts = [(x, y) for x in f.elements() for y in f.elements()
+               if f.mul(y, y) == f.add(f.mul(f.mul(x, x), x),
+                                       f.add(f.mul(a, x), b))]
+        assert el.enumerate_points(f, curve) == [None] + pts
+        assert count_points(curve, k) == len(pts) + 1
+
+
 @pytest.mark.parametrize("p,k", SMALL_FIELDS + ((3, 4), (2, 6)))
 def test_frobenius_is_automorphism_of_order_k(p, k):
     f = FieldExt(p, k)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from heckesat.laurent import Laurent, QuadExt
+from heckesat.laurent import Laurent
 
 scalars = st.integers(-5, 5) | st.fractions(-3, 3, max_denominator=4)
 laurents = st.dictionaries(st.integers(-3, 3), scalars,
@@ -41,35 +41,19 @@ def test_negative_exponents():
 
 
 def test_eval_quad_positive_and_negative():
-    # v**2 -> p, v**3 -> p*v, v**-1 -> v/p
-    x = Laurent({2: 1})
-    q = x.eval_quad(5)
-    assert q == QuadExt(5, 0, 5)
-    q = Laurent({3: 1}).eval_quad(5)
-    assert q == QuadExt(0, 5, 5)
-    q = Laurent({-1: 1}).eval_quad(5)
-    assert q == QuadExt(0, Fraction(1, 5), 5)
+    # v**2 -> p, v**3 -> p*v, v**-1 -> v/p, v**-2 -> 1/p
+    assert Laurent({2: 1}).eval_quad(5) == Laurent({0: 5})
+    assert Laurent({3: 1}).eval_quad(5) == Laurent({1: 5})
+    assert Laurent({-1: 1}).eval_quad(5) == Laurent({1: Fraction(1, 5)})
+    assert Laurent({-2: 3, 0: 1}).eval_quad(5) == Laurent({0: Fraction(8, 5)})
+    assert Laurent({-3: Fraction(1, 2)}).eval_quad(3) == \
+        Laurent({1: Fraction(1, 18)})
 
 
 def test_eval_quad_identity_two_v_inverse():
-    # at p = 2: 2/v = v
-    assert Laurent({-1: 2}).eval_quad(2) == Laurent({1: 1}).eval_quad(2)
-
-
-def test_quadext_field_ops():
-    a = QuadExt(1, 2, 3)   # 1 + 2*sqrt(3)
-    b = QuadExt(0, 1, 3)
-    assert a * b == QuadExt(6, 1, 3)
-    assert a + b == QuadExt(1, 3, 3)
-    assert a - a == QuadExt(0, 0, 3)
-    assert (a * b).is_rational() is False
-    assert QuadExt(7, 0, 3) == 7
-
-
-def test_quadext_mixed_primes_rejected():
-    import pytest
-    with pytest.raises(ValueError):
-        QuadExt(1, 1, 2) + QuadExt(1, 1, 3)
+    # at p = 2: 2/v = v, and v**2 - 2 reduces to zero
+    assert Laurent({-1: 2}).eval_quad(2) == Laurent({1: 1})
+    assert Laurent({2: 1, 0: -2}).eval_quad(2).is_zero()
 
 
 @settings(max_examples=150, deadline=None)
@@ -84,11 +68,11 @@ def test_laurent_ring_laws(x, y, z):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from((2, 3, 5)), st.data())
-def test_quad_ext_ring_laws(p, data):
-    x, y, z = (QuadExt(data.draw(scalars), data.draw(scalars), p)
-               for _ in range(3))
-    assert x + y == y + x and x * y == y * x
-    assert (x + y) + z == x + (y + z) and (x * y) * z == x * (y * z)
-    assert x * (y + z) == x * y + x * z
-    assert x - x == QuadExt(0, 0, p)
+@given(st.sampled_from((2, 3, 5)), laurents, laurents)
+def test_eval_quad_is_ring_map_onto_reduced_forms(p, x, y):
+    def r(z):
+        return z.eval_quad(p)
+    assert set(r(x).coeffs) <= {0, 1}
+    assert r(r(x)) == r(x)
+    assert r(x * y) == r(r(x) * r(y))
+    assert r(x + y) == r(r(x) + r(y))

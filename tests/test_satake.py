@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from heckesat import satake as sk
 from heckesat.cli import ALL_GROUPS
-from heckesat.laurent import Laurent, QuadExt
+from heckesat.laurent import Laurent
 from heckesat.rootdata import (
     build_group,
     dominant_representative,
@@ -141,8 +141,19 @@ def test_specialize_gl2():
     H = hecke_polynomial(rd, (1, 0))
     p, a_p = 7, 3
     s = SatakeParameterSymmetric(
-        {(1, 0): QuadExt(0, Fraction(a_p, p), p), (1, 1): 1}, p)
-    assert specialize(H, s, rd) == [Fraction(p), Fraction(-a_p), Fraction(1)]
+        {(1, 0): Laurent.v_power(1, Fraction(a_p, p)), (1, 1): 1}, p)
+    coeffs = specialize(H, s, rd)
+    assert coeffs == [Fraction(p), Fraction(-a_p), Fraction(1)]
+    assert all(type(c) is Fraction for c in coeffs)
+
+
+def test_specialize_irrational_coefficient():
+    # t**2 - v e^(1,0)-sum t + v**2 e^(1,1) at orbit values 1: t**2 - v t + 5
+    rd = build_group("GL(2)")
+    H = hecke_polynomial(rd, (1, 0))
+    s = SatakeParameterSymmetric({(1, 0): 1, (1, 1): 1}, 5)
+    assert specialize(H, s, rd) == [Fraction(5), Laurent({1: -1}),
+                                     Fraction(1)]
 
 
 def test_specialize_all_zero_gives_t_power():
