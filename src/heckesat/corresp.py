@@ -12,6 +12,7 @@ zero) is exact linear algebra.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 from .intmat import int_tuple, mat_mul
@@ -35,14 +36,16 @@ class FinitePointSet:
                                f"m = {self.m}")
         if sorted(self.frobenius) != list(range(self.size)):
             raise CorrespError("frobenius is not a permutation")
-        if self._perm_power(self.m) != tuple(range(self.size)):
-            raise CorrespError("frobenius**m is not the identity")
-
-    def _perm_power(self, k):
-        out = tuple(range(self.size))
-        for _ in range(k):
-            out = tuple(self.frobenius[i] for i in out)
-        return out
+        # frobenius**m is the identity iff every cycle length divides m
+        seen = [False] * self.size
+        for start in range(self.size):
+            length, i = 0, start
+            while not seen[i]:
+                seen[i] = True
+                i = self.frobenius[i]
+                length += 1
+            if length and self.m % length:
+                raise CorrespError("frobenius**m is not the identity")
 
 
 @dataclass(frozen=True)
@@ -57,19 +60,22 @@ class Correspondence:
                 len(r) != self.target.size for r in w):
             raise CorrespError("weight matrix shape mismatch")
 
-    def __add__(self, other):
+    def _entrywise(self, op, other):
         if (self.source, self.target) != (other.source, other.target):
             raise CorrespError("mismatched point sets in sum")
         return Correspondence(self.source, self.target, tuple(
-            tuple(a + b for a, b in zip(r1, r2))
+            tuple(map(op, r1, r2))
             for r1, r2 in zip(self.weights, other.weights)))
+
+    def __add__(self, other):
+        return self._entrywise(operator.add, other)
 
     def __neg__(self):
         return Correspondence(self.source, self.target, tuple(
             tuple(-x for x in r) for r in self.weights))
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._entrywise(operator.sub, other)
 
 
 @dataclass(frozen=True)
@@ -90,16 +96,19 @@ class CycleZero:
 
 
 def identity_corr(v: FinitePointSet) -> Correspondence:
-    return Correspondence(v, v, tuple(
-        tuple(int(i == j) for j in range(v.size)) for i in range(v.size)))
+    return graph_corr(v, v, range(v.size))
 
 
 def graph_corr(source: FinitePointSet, target: FinitePointSet,
                mapping) -> Correspondence:
-    """Graph of a map source -> target given as an index sequence."""
+    """Graph of a map source -> target given as an index sequence: row i
+    is the unit vector at mapping[i]."""
+    if len(mapping) != source.size or not all(
+            0 <= j < target.size for j in mapping):
+        raise CorrespError("mapping is not a map from source to target")
+    zeros = (0,) * target.size
     return Correspondence(source, target, tuple(
-        tuple(int(mapping[i] == j) for j in range(target.size))
-        for i in range(source.size)))
+        zeros[:j] + (1,) + zeros[j + 1:] for j in mapping))
 
 
 def frobenius_corr(v: FinitePointSet) -> Correspondence:
@@ -128,10 +137,9 @@ def act(p: CycleZero, c: Correspondence) -> CycleZero:
 
 
 def vanishing_test(c: Correspondence) -> bool:
-    """True iff every point mass is annihilated, i.e. the matrix is zero."""
-    return all(
-        act(CycleZero.point_mass(c.source, i), c).is_zero()
-        for i in range(c.source.size))
+    """True iff every point mass is annihilated.  The point mass at i acts
+    as row i of the weight matrix, so this holds iff every row is zero."""
+    return not any(map(any, c.weights))
 
 
 # ---------------------------------------------------------------------------

@@ -173,7 +173,14 @@ class FieldExt:
         return self._exp[self._log[a] + self._log_minus_one] if a else 0
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        if not b:
+            return a
+        lb = self._log[b] + self._log_minus_one  # log(-b), below 2n
+        if not a:
+            return self._exp[lb]
+        la = self._log[a]
+        z = self._zech[(lb - la) % self._n]
+        return self._exp[la + z] if z >= 0 else 0
 
     def mul(self, a, b):
         return self._exp[self._log[a] + self._log[b]] if a and b else 0
@@ -240,15 +247,28 @@ class FrobeniusData:
     ordinary: bool
 
 
+def _rhs_values(field, curve):
+    """x^3 + a x + b for every x, in ``field.elements()`` order.
+
+    For x = x^e the terms x^3 = x^(3e) and a x = x^(log a + e) are read
+    off the exp table, so each x costs two additions.
+    """
+    a, b = field.embed(curve.a), field.embed(curve.b)
+    exp, log, n, add = field._exp, field._log, field._n, field.add
+    la = log[a]
+    out = [b]  # x = 0
+    for x in range(1, field.order):
+        e = log[x]
+        out.append(add(add(exp[3 * e % n], exp[la + e] if a else 0), b))
+    return out
+
+
 def count_points(curve: EllipticCurve, k=1) -> int:
     """#E(F_{p^k}) by exhaustive x-sweep: rhs 0 gives one point, a nonzero
     square two."""
     field = field_ext(curve.p, k)
-    a, b = field.embed(curve.a), field.embed(curve.b)
     total = 1  # the point at infinity
-    for x in field.elements():
-        rhs = field.add(field.mul(field.mul(x, x), x),
-                        field.add(field.mul(a, x), b))
+    for rhs in _rhs_values(field, curve):
         if not rhs:
             total += 1
         elif field.sqrt(rhs) is not None:
@@ -294,12 +314,13 @@ def add_points(field, curve, P, Q):
         return P
     x1, y1 = P
     x2, y2 = Q
-    if x1 == x2 and field.add(y1, y2) == field.zero():
+    if x1 == x2 and not field.add(y1, y2):
         return None
     if P == Q:
-        num = field.add(field.mul(field.embed(3), field.mul(x1, x1)),
-                        field.embed(curve.a))
-        den = field.mul(field.embed(2), y1)
+        # F_p embeds as 0..p-1, so 3 and a are their residues mod p
+        num = field.add(field.mul(3 % field.p, field.mul(x1, x1)),
+                        curve.a % field.p)
+        den = field.add(y1, y1)
     else:
         num = field.sub(y2, y1)
         den = field.sub(x2, x1)
@@ -319,22 +340,19 @@ def scalar_mult(field, curve, m, P):
     if m < 0:
         return scalar_mult(field, curve, -m, negate_point(field, P))
     out = None
-    base = P
     while m:
         if m & 1:
-            out = add_points(field, curve, out, base)
-        base = add_points(field, curve, base, base)
+            out = add_points(field, curve, out, P)
         m >>= 1
+        if m:  # no doubling after the last bit
+            P = add_points(field, curve, P, P)
     return out
 
 
 def enumerate_points(field, curve):
     """Affine points plus None for infinity, in deterministic order."""
-    a, b = field.embed(curve.a), field.embed(curve.b)
     pts = [None]
-    for x in field.elements():
-        rhs = field.add(field.mul(field.mul(x, x), x),
-                        field.add(field.mul(a, x), b))
+    for x, rhs in zip(field.elements(), _rhs_values(field, curve)):
         y = field.sqrt(rhs)
         if y is not None:
             pts.extend((x, r) for r in sorted({y, field.neg(y)}))

@@ -141,6 +141,9 @@ def test_criterion_7_correspondence_model():
         c = rand_corr()
         assert corresp.vanishing_test(c) == all(
             x == 0 for r in c.weights for x in r)
+        assert corresp.vanishing_test(c) == all(
+            corresp.act(corresp.CycleZero.point_mass(ps, i), c).is_zero()
+            for i in range(ps.size))
         assert corresp.vanishing_test(c - c)
     assert time.time() - start < 10
 

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +37,38 @@ def test_point_set_validation():
     with pytest.raises(CorrespError):
         FinitePointSet(3, (1, 2, 0), 5, 1)  # order 3 does not divide m=1
     FinitePointSet(3, (1, 2, 0), 5, 3)
+
+
+def test_point_set_load_time_is_independent_of_m():
+    ps = {"size": 50, "frobenius": list(range(1, 50)) + [0], "q": 5,
+          "m": 10 ** 9}  # one 50-cycle, and 50 divides 10**9
+    start = time.perf_counter()
+    c = corr_from_dict({"source": ps, "target": ps,
+                        "weights": [[0] * 50] * 50})
+    FinitePointSet(5, (1, 0, 3, 4, 2), 5, 6 * 10 ** 9)
+    assert time.perf_counter() - start < 0.5
+    assert c.source.m == 10 ** 9
+    with pytest.raises(CorrespError):
+        FinitePointSet(3, (1, 2, 0), 5, 4)
+    with pytest.raises(CorrespError):  # the 3-cycle fails, the 2-cycle not
+        FinitePointSet(5, (1, 0, 3, 4, 2), 5, 10 ** 9)
+
+
+@pytest.mark.parametrize("mapping", [[5, -1, 2], (0, -2, 1), (0, 1),
+                                     (0, 3, 1), (0, 1, 2, 0)],
+                         ids=["too-big", "negative", "short", "edge", "long"])
+def test_graph_corr_rejects_non_maps(mapping):
+    ps = make_set(3)
+    with pytest.raises(CorrespError):
+        graph_corr(ps, ps, mapping)
+
+
+def test_graph_corr_rows_are_unit_vectors():
+    src, tgt = make_set(3), make_set(4)
+    assert graph_corr(src, tgt, (3, 0, 3)).weights == (
+        (0, 0, 0, 1), (1, 0, 0, 0), (0, 0, 0, 1))
+    assert identity_corr(tgt).weights == tuple(
+        tuple(int(i == j) for j in range(4)) for i in range(4))
 
 
 @pytest.mark.parametrize("q, m", [(5, 0), (5, -1), (1, 1), (0, 1)],
@@ -135,6 +168,10 @@ def test_vanishing_iff_zero():
         c = rand_corr(rng, ps)
         assert vanishing_test(c) == all(
             x == 0 for r in c.weights for x in r)
+        # the definition: every point mass is annihilated
+        assert vanishing_test(c) == all(
+            act(CycleZero.point_mass(ps, i), c).is_zero()
+            for i in range(ps.size))
         assert vanishing_test(c - c)
 
 

@@ -117,6 +117,20 @@ def test_group_law_sanity():
         assert el.scalar_mult(field, curve, 9, P) is None
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_scalar_mult_is_repeated_addition(k):
+    curve = EllipticCurve(5, 1, 1)
+    field = FieldExt(5, k)
+    pts = el.enumerate_points(field, curve)
+    bound = 2 * len(pts)
+    for P in pts:
+        for sign, Q in ((1, P), (-1, el.negate_point(field, P))):
+            total = None  # m * P by m - 1 additions, for m = 0, ..., bound
+            for m in range(bound + 1):
+                assert el.scalar_mult(field, curve, sign * m, P) == total
+                total = el.add_points(field, curve, total, Q)
+
+
 def test_satake_link():
     ok, coeffs = satake_link(EllipticCurve(5, 1, 1))
     assert ok
@@ -200,6 +214,15 @@ def _schoolbook_add(p, k, a, b):
                enumerate(zip(_digits(a, p, k), _digits(b, p, k))))
 
 
+def _schoolbook_neg(p, k, a):
+    return sum(-x % p * p ** i for i, x in enumerate(_digits(a, p, k)))
+
+
+def _schoolbook_sub(p, k, a, b):
+    return sum((x - y) % p * p ** i for i, (x, y) in
+               enumerate(zip(_digits(a, p, k), _digits(b, p, k))))
+
+
 def _x_is_primitive(p, modulus):
     """x^(q-1) = 1 and x, x^2, ..., x^(q-1) are q - 1 distinct elements."""
     k = len(modulus)
@@ -214,9 +237,11 @@ def _x_is_primitive(p, modulus):
 def test_field_matches_schoolbook_arithmetic(p, k):
     f = FieldExt(p, k)
     for a in f.elements():
+        assert f.neg(a) == _schoolbook_neg(p, k, a)
         for b in f.elements():
             assert f.mul(a, b) == _schoolbook_mul(p, f.modulus, a, b)
             assert f.add(a, b) == _schoolbook_add(p, k, a, b)
+            assert f.sub(a, b) == _schoolbook_sub(p, k, a, b)
 
 
 @pytest.mark.parametrize("p,k", SMALL_FIELDS + ((2, 1), (3, 1), (7, 1)))
