@@ -3,9 +3,10 @@
 Exit codes, chosen by exception type:
 
 * 0 -- success;
-* 1 -- verification failure, including a suite that ran no checks;
-* 2 -- usage error: bad group, cocharacter, type, size n, prime p or
-  curve (the library's ValueError subclasses);
+* 1 -- verification failure, including a suite that ran no checks and
+  a ``prop33`` run whose polynomials all have degree 1;
+* 2 -- usage error: bad group, cocharacter, type, size n, prime p,
+  curve or a negative ``--pairs`` / ``--curves`` count (ValueError);
 * 3 -- resource bound exceeded: coset enumeration, a finite field
   above the counting bound, or a Hecke polynomial whose elementary
   symmetric functions exceed ``satake.TERM_BOUND`` terms;
@@ -118,9 +119,16 @@ def cmd_convolve(args):
 
 
 def _suite_prop33(args):
+    """H_mu(v**d e^mu) = 0 for every dominant minuscule mu of the groups.
+
+    A degree-1 polynomial t - e^mu vanishes at e^mu by construction, so
+    the suite passes only if some checked polynomial has degree >= 2; a
+    group with no noncentral minuscule cocharacter (SL(n), GL(1)) fails.
+    """
     groups = ALL_GROUPS if args.all_groups or not args.group else (args.group,)
     checks = {}
     ok = True
+    nontrivial = False
     for name in groups:
         rd = rootdata.build_group(name)
         for mu in rootdata.enumerate_dominant_minuscule(rd):
@@ -128,7 +136,11 @@ def _suite_prop33(args):
             vanished = satake.evaluate_vanishing(H).is_zero()
             checks[f"{rd.name} mu={mu}"] = vanished
             ok = ok and vanished
-    return ok, checks
+            nontrivial = nontrivial or H.degree >= 2
+    if not nontrivial:
+        print("error: prop33 checked no Hecke polynomial of degree >= 2",
+              file=sys.stderr)
+    return ok and nontrivial, checks
 
 
 def _suite_satake_hom(args):
@@ -249,6 +261,10 @@ SUITES = {
 
 
 def cmd_verify(args):
+    for flag in ("pairs", "curves"):
+        count = getattr(args, flag)
+        if count < 0:
+            raise ValueError(f"--{flag} must be a count >= 0, got {count}")
     ok, checks = SUITES[args.suite](args)
     ok = ok and bool(checks)
     report = {

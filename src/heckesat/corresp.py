@@ -89,6 +89,9 @@ class CycleZero:
 
     @classmethod
     def point_mass(cls, base, index):
+        if index not in range(base.size):
+            raise CorrespError(f"point index {index} is not in "
+                               f"range({base.size})")
         return cls(base, tuple(int(i == index) for i in range(base.size)))
 
     def is_zero(self):

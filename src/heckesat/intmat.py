@@ -11,7 +11,7 @@ p-adic valuation scaled by the inverse of its unit part.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 
@@ -65,33 +65,42 @@ def mat_vec(a, v):
 
 
 def moved_rows(g):
-    """The nonzero entries of g - 1, by row: ((i, ((j, entry), ...)), ...).
+    """g - 1 by distinct functional: ((f, ((i, c), ...)), ...).
 
-    g.v = v + (g - 1) v changes v only in these rows.  For a reflection
-    x - <a, x> a^v they are the rows where a^v is nonzero, and each holds
-    the nonzero entries of a, so moving a vector reads only those entries,
-    not all rank**2 entries of g.
+    Each nonzero row i of g - 1 is c * f for a primitive row f whose first
+    nonzero entry is positive, and rows sharing an f are grouped, so
+    g.v = v + sum over f of (f.v) * sum c e_i.  f is stored by its nonzero
+    entries ((j, f_j), ...).  A reflection x - <a, x> a^v has the single
+    functional f = +-a/gcd(a), so moving a vector costs one pairing plus
+    one update per nonzero entry of a^v.  Every matrix, reflection or
+    not, singular or not, takes this same path.
     """
-    out = []
+    groups = {}
     for i, row in enumerate(g):
-        entries = tuple((j, x - (i == j)) for j, x in enumerate(row)
-                        if x != (i == j))
-        if entries:
-            out.append((i, entries))
-    return tuple(out)
+        r = list(row)
+        r[i] -= 1
+        c = gcd(*r)
+        if c:
+            f = [(j, x // c) for j, x in enumerate(r) if x]
+            if f[0][1] < 0:
+                c = -c
+                f = [(j, -x) for j, x in f]
+            groups.setdefault(tuple(f), []).append((i, c))
+    return tuple((f, tuple(u)) for f, u in groups.items())
 
 
 def apply_moved(rows, v):
     """g.v from ``moved_rows(g)``; returns v itself when g fixes v."""
     out = None
-    for i, entries in rows:
+    for f, updates in rows:
         s = 0
-        for j, x in entries:
+        for j, x in f:
             s += x * v[j]
         if s:
             if out is None:
                 out = list(v)
-            out[i] += s
+            for i, c in updates:
+                out[i] += s * c
     return v if out is None else tuple(out)
 
 

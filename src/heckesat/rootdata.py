@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .intmat import (
-    apply_moved, identity, int_tuple, mat_mul, mat_vec, moved_rows)
+    apply_moved, identity, int_tuple, mat_mul, moved_rows)
 
 MAX_WEYL_ELEMENTS = 10 ** 6
 
@@ -69,33 +69,39 @@ class RootDatum:
     def _root_expansions(self):
         """Coefficients of every root over the simple roots, in root order.
 
-        One Gauss-Jordan elimination over Q with every root as a right-hand
-        side; raises RootDatumError if a root is outside their span.
+        One fraction-free Gauss-Jordan elimination over Z with every root
+        as a right-hand side: after each pivot every row is divided
+        exactly by the previous pivot (Bareiss), so at the end each pivot
+        row holds D * x_j, D the last pivot, and only the quotients are
+        Fractions.  Raises RootDatumError if a root is outside the span.
         """
         k, n = len(self.simple_indices), self.rank
         basis = self.simple_roots
-        rows = [[Fraction(v[i]) for v in basis + self.roots] for i in range(n)]
+        rows = [[v[i] for v in basis + self.roots] for i in range(n)]
         pivots = []
+        prev = 1
         for j in range(k):
             r0 = len(pivots)
             piv = next((r for r in range(r0, n) if rows[r][j] != 0), None)
             if piv is None:
                 continue
             rows[r0], rows[piv] = rows[piv], rows[r0]
-            pv = rows[r0][j]
-            rows[r0] = [x / pv for x in rows[r0]]
+            pivot_row = rows[r0]
+            pv = pivot_row[j]
             for r in range(n):
                 f = rows[r][j]
-                if r != r0 and f != 0:
-                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[r0])]
+                if r != r0:
+                    rows[r] = [(pv * x - f * y) // prev
+                               for x, y in zip(rows[r], pivot_row)]
             pivots.append(j)
+            prev = pv
         if any(x != 0 for row in rows[len(pivots):] for x in row[k:]):
             raise RootDatumError("root outside the span of simple roots")
         out = []
         for t in range(k, k + len(self.roots)):
             sol = [Fraction(0)] * k
             for r, j in enumerate(pivots):
-                sol[j] = rows[r][t]
+                sol[j] = Fraction(rows[r][t], prev)
             out.append(tuple(sol))
         return tuple(out)
 
@@ -142,14 +148,15 @@ def validate(rd: RootDatum):
     corootset = set(rd.coroots)
     for i in rd.simple_indices:
         a, av = rd.roots[i], rd.coroots[i]
-        s_costar = _reflection_matrix_costar(a, av, rd.rank)
-        # dual reflection on X*: y -> y - <y, a^> a
+        # dual reflection on X*: b -> b - <b, a^> a
         for b in rd.roots:
-            img = tuple(b[t] - rd.pairing(b, av) * a[t] for t in range(rd.rank))
-            if img not in rootset:
+            k = rd.pairing(b, av)
+            if tuple(x - k * y for x, y in zip(b, a)) not in rootset:
                 raise RootDatumError("simple reflection does not permute roots")
+        # reflection on X_*: b^ -> b^ - <a, b^> a^
         for bv in rd.coroots:
-            if mat_vec(s_costar, bv) not in corootset:
+            k = rd.pairing(a, bv)
+            if tuple(x - k * y for x, y in zip(bv, av)) not in corootset:
                 raise RootDatumError("simple reflection does not permute coroots")
     for coeffs in rd._root_expansions:
         if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):

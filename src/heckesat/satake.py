@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 
 from .intmat import apply_moved, int_tuple, moved_rows
 from .laurent import Laurent
@@ -203,11 +203,18 @@ def hecke_polynomial(rd: RootDatum, mu) -> HeckePolynomialSatake:
     """Expand prod_{lam in W.mu} (t - v**d e^lam) by powers of t.
 
     Every factor has the scalar v**d, so only the elementary symmetric
-    functions e_j of the orbit exponentials are expanded, on {exponent: int}
-    maps by e_j += e^lam e_{j-1} (j descending).  Raises TermBoundError
-    as soon as the maps hold more than TERM_BOUND terms in all, and
-    SatakeError unless every e_j is Weyl invariant.  e_0 = 1 holds by
-    construction: the loop writes only e_1 .. e_m.
+    functions e_j of the m orbit exponentials are needed, as {exponent: int}
+    maps.  e_0 .. e_h, h = m // 2, are expanded by e_j += e^lam e_{j-1}
+    (j descending); the rest follow from the functional equation
+    e_{m-j}(x) = e_m(x) e_j(x**-1), that is e_{m-j}[sigma - nu] = e_j[nu]
+    with sigma the sum of the orbit (Macdonald, Symmetric Functions and
+    Hall Polynomials, I.2).  Raises TermBoundError as soon as the maps,
+    counted with their mirror images, would hold more than TERM_BOUND
+    terms in all: the counts only grow, so this refuses exactly the
+    polynomials whose full expansion exceeds the bound.  Raises SatakeError
+    unless every e_j is Weyl invariant: e_0 .. e_h are checked, and a
+    generator that fixes sigma commutes with nu -> sigma - nu, so it fixes
+    each mirrored e_{m-j} when it fixes e_j.
     """
     mu = int_tuple(mu, rd.rank, "rank-length cocharacter", SatakeError)
     if not is_minuscule(rd, mu):
@@ -216,16 +223,20 @@ def hecke_polynomial(rd: RootDatum, mu) -> HeckePolynomialSatake:
     gens = simple_reflections(rd)
     orb = sorted(orbit(gens, mu))
     d = rd.pairing(rd.delta(), mu)
-    e = [{(0,) * rd.rank: 1}] + [{} for _ in orb]
-    total = 1
+    m = len(orb)
+    h = m // 2
+    # e_j for j < m - j counts twice; e_h, when m = 2h, is its own mirror
+    weight = [2] * h + [2 if m % 2 else 1]
+    e = [{(0,) * rd.rank: 1}] + [{} for _ in range(h)]
+    total = weight[0]
     for j, lam in enumerate(orb, 1):
-        for i in range(j, 0, -1):
+        for i in range(min(j, h), 0, -1):
             upper = e[i]
-            total -= len(upper)
+            size = len(upper)
             for key, c in e[i - 1].items():
                 key = tuple(map(add, key, lam))
                 upper[key] = upper.get(key, 0) + c
-            total += len(upper)
+            total += weight[i] * (len(upper) - size)
             if total > TERM_BOUND:
                 raise TermBoundError(
                     f"the Hecke polynomial of {rd.name} at {mu} needs more "
@@ -233,7 +244,12 @@ def hecke_polynomial(rd: RootDatum, mu) -> HeckePolynomialSatake:
     for ej in e:
         if not is_weyl_invariant(gens, ej):
             raise SatakeError("non-Weyl-invariant Hecke coefficient")
-    return HeckePolynomialSatake(mu, d, len(orb), tuple(e), rd.rank)
+    sigma = tuple(map(sum, zip(*orb)))
+    if any(apply_moved(moved_rows(g), sigma) != sigma for g in gens):
+        raise SatakeError("non-Weyl-invariant Hecke coefficient")
+    e += [{tuple(map(sub, sigma, nu)): c for nu, c in e[m - j].items()}
+          for j in range(h + 1, m + 1)]
+    return HeckePolynomialSatake(mu, d, m, tuple(e), rd.rank)
 
 
 def evaluate_vanishing(H: HeckePolynomialSatake,

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from heckesat.cli import main
 
 
@@ -111,12 +113,40 @@ def test_bad_size_or_prime_is_usage_error(capsys):
 
 
 def test_suite_with_zero_checks_fails(capsys):
-    for argv in (["verify", "satake-hom", "--pairs", "-3"],
+    for argv in (["verify", "satake-hom", "--pairs", "0"],
                  ["verify", "frobdemo", "--p", "5", "--curves", "0"]):
         code, out, _ = run(capsys, "--format", "json", *argv)
         assert code == 1, argv
         assert json.loads(out) == {"checks": {}, "passed": False,
                                    "suite": argv[1]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "satake-hom", "--pairs", "-3"],
+    ["verify", "frobdemo", "--p", "3", "--curves", "-1"],
+    ["verify", "frobdemo", "--p", "5", "--exhaustive", "--curves", "-2"],
+], ids=["pairs", "curves", "curves-exhaustive"])
+def test_negative_count_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "--format", "json", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {argv[-2]} must be a count >= 0, got {argv[-1]}\n"
+
+
+@pytest.mark.parametrize("group", ["SL(2)", "SL(3)", "GL(1)"])
+def test_prop33_fails_when_every_polynomial_has_degree_one(capsys, group):
+    # t - e^mu vanishes at e^mu by construction: no evidence either way
+    code, out, err = run(capsys, "--format", "json", "verify", "prop33",
+                         "--group", group)
+    report = json.loads(out)
+    assert code == 1 and report["passed"] is False
+    assert report["checks"] and all(report["checks"].values())
+    assert "degree >= 2" in err
+
+
+def test_prop33_passes_with_a_degree_two_polynomial(capsys):
+    code, out, err = run(capsys, "--format", "json", "verify", "prop33",
+                         "--group", "GL(2)")
+    assert (code, json.loads(out)["passed"], err) == (0, True, "")
 
 
 def test_count_bound_exit_code(capsys, monkeypatch):
@@ -194,6 +224,34 @@ FROBDEMO_P5_JSON = (
     '"y^2=x^3+4x+4 over F_5": true}, "passed": true, '
     '"suite": "frobdemo"}\n')
 
+PROP33_ALL_JSON = (
+    '{"checks": {'
+    '"GL(2) mu=(0, 0)": true, '
+    '"GL(2) mu=(1, 0)": true, '
+    '"GL(2) mu=(1, 1)": true, '
+    '"GL(3) mu=(0, 0, 0)": true, '
+    '"GL(3) mu=(1, 0, 0)": true, '
+    '"GL(3) mu=(1, 1, 0)": true, '
+    '"GL(3) mu=(1, 1, 1)": true, '
+    '"GL(4) mu=(0, 0, 0, 0)": true, '
+    '"GL(4) mu=(1, 0, 0, 0)": true, '
+    '"GL(4) mu=(1, 1, 0, 0)": true, '
+    '"GL(4) mu=(1, 1, 1, 0)": true, '
+    '"GL(4) mu=(1, 1, 1, 1)": true, '
+    '"GSO(8) mu=(0, 0, 0, 0, 0)": true, '
+    '"GSO(8) mu=(1, 0, 0, 0, 0)": true, '
+    '"GSO(8) mu=(1, 1, 1, 0, 1)": true, '
+    '"GSO(8) mu=(1, 1, 1, 1, 1)": true, '
+    '"GSp(4) mu=(0, 0, 0)": true, '
+    '"GSp(4) mu=(1, 1, 1)": true, '
+    '"GSp(6) mu=(0, 0, 0, 0)": true, '
+    '"GSp(6) mu=(1, 1, 1, 1)": true, '
+    '"GSpin(7) mu=(0, 0, 0, 0)": true, '
+    '"GSpin(7) mu=(0, 0, 0, 1)": true, '
+    '"GSpin(7) mu=(1, 0, 0, 0)": true, '
+    '"GSpin(7) mu=(1, 0, 0, 1)": true'
+    '}, "passed": true, "suite": "prop33"}\n')
+
 
 def test_hecke_poly_golden_output(capsys):
     # exact coefficient output, in both formats, byte for byte
@@ -216,3 +274,9 @@ def test_verify_golden_output(capsys):
           "--exhaustive"], FROBDEMO_P5_JSON),
     ):
         assert run(capsys, *argv) == (0, expected, ""), argv
+
+
+def test_prop33_all_groups_golden_output(capsys):
+    # the degree >= 2 requirement leaves the all-groups report unchanged
+    assert run(capsys, "--format", "json", "verify", "prop33",
+               "--all-groups") == (0, PROP33_ALL_JSON, "")

@@ -71,6 +71,14 @@ def test_graph_corr_rows_are_unit_vectors():
         tuple(int(i == j) for j in range(4)) for i in range(4))
 
 
+@pytest.mark.parametrize("index", [7, 3, -1, -3])
+def test_point_mass_rejects_index_outside_the_set(index):
+    ps = make_set(3)
+    with pytest.raises(CorrespError, match="range"):
+        CycleZero.point_mass(ps, index)
+    assert CycleZero.point_mass(ps, 2).coefficients == (0, 0, 1)
+
+
 @pytest.mark.parametrize("q, m", [(5, 0), (5, -1), (1, 1), (0, 1)],
                          ids=["m-zero", "m-negative", "q-one", "q-zero"])
 def test_point_set_rejects_small_q_or_m(q, m):

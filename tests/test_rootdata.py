@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -178,6 +180,38 @@ def _root_index(d, root):
     return d["roots"].index(list(root))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_root_expansions_solve_the_simple_system(data):
+    # independent integer "simple roots" (triangular, nonzero diagonal)
+    # and roots c.S / s: the expansion is c / s exactly, as Fractions
+    n = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(1, n))
+    small = st.integers(-3, 3)
+    simple = [tuple(data.draw(st.sampled_from((-2, -1, 1, 2))) if t == i
+                    else data.draw(small) if i < t < n - 1 else 0
+                    for t in range(n)) for i in range(k)]
+    s = data.draw(st.integers(1, 3))
+    cs = data.draw(st.lists(st.lists(small, min_size=k, max_size=k),
+                            max_size=4))
+    roots = [tuple(sum(c * b[t] for c, b in zip(cj, simple)) * s
+                   for t in range(n)) for cj in cs]
+    rd = rdm.RootDatum("test", n, tuple(simple + roots), (),
+                       tuple(range(k)))
+    expansions = rd._root_expansions
+    assert expansions[:k] == tuple(
+        tuple(Fraction(int(i == j)) for j in range(k)) for i in range(k))
+    assert expansions[k:] == tuple(tuple(Fraction(c * s) for c in cj)
+                                   for cj in cs)
+    assert all(type(c) is Fraction for e in expansions for c in e)
+    # below full rank the last coordinate is 0 on the span, 1 on e_n
+    if k < n:
+        e_n = (0,) * (n - 1) + (1,)
+        bad = rdm.RootDatum("test", n, (*simple, e_n), (), tuple(range(k)))
+        with pytest.raises(RootDatumError, match="outside the span"):
+            bad._root_expansions
+
+
 def test_validate_rejects_root_outside_simple_span():
     d = _gsp4_dict()
     d["simple_indices"] = [_root_index(d, (1, -1, 0))]  # alpha_1 alone
@@ -200,6 +234,16 @@ def test_validate_rejects_reflection_that_does_not_permute_roots():
     d = _gsp4_dict()
     d["roots"][_root_index(d, (1, 1, -1))] = [1, 1, 1]
     with pytest.raises(RootDatumError, match="does not permute roots"):
+        rdm.from_dict(d)
+
+
+def test_validate_rejects_reflection_that_does_not_permute_coroots():
+    # (eps_1 + eps_2)^ -> (2, 2, 2) keeps <a, a^> = 2 and every root, but
+    # s_{alpha_2}(alpha_1^) = alpha_1^ + 2 alpha_2^ = (1, 1, 0) is then no
+    # longer a coroot
+    d = _gsp4_dict()
+    d["coroots"][_root_index(d, (1, 1, -1))] = [2, 2, 2]
+    with pytest.raises(RootDatumError, match="does not permute coroots"):
         rdm.from_dict(d)
 
 

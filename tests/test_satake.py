@@ -1,6 +1,8 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from heckesat import satake as sk
 from heckesat.cli import ALL_GROUPS
+from heckesat.intmat import mat_vec
 from heckesat.laurent import Laurent
 from heckesat.rootdata import (
     build_group,
@@ -334,6 +337,53 @@ def test_hecke_polynomial_matches_repeated_multiplication(name, mu):
     assert H.degree == len(expected) - 1
     for k, (got, want) in enumerate(zip(H.coefficients, expected)):
         assert got == want, f"coefficient of t**{k}"
+
+
+FUNCTIONAL_EQUATION_CASES = _dominant_minuscule_cases(
+    ("GL(2)", "GL(3)", "GL(4)", "GL(5)", "GSp(4)", "GSp(6)", "GSp(8)",
+     "GSO(8)", "GSO(10)", "GSpin(7)", "GSpin(9)"))
+
+
+@pytest.mark.parametrize("name, mu", FUNCTIONAL_EQUATION_CASES,
+                         ids=_case_ids(FUNCTIONAL_EQUATION_CASES))
+def test_every_elementary_function_matches_the_full_expansion(name, mu):
+    # e_j over all j-subsets of the orbit, which is read off the Weyl
+    # closure; hecke_polynomial expands only e_0 .. e_{m//2} itself
+    rd = build_group(name)
+    orb = {mat_vec(w, mu) for w in weyl_group(rd).elements}
+    H = hecke_polynomial(rd, mu)
+    assert H.degree == len(orb) and len(H.elementary) == len(orb) + 1
+    for j, ej in enumerate(H.elementary):
+        full = Counter(tuple(map(sum, zip(*subset))) if subset
+                       else (0,) * rd.rank
+                       for subset in combinations(sorted(orb), j))
+        assert ej == full, f"e_{j}"
+
+
+@pytest.mark.parametrize("name, mu, m", [("GL(3)", (1, 0, 0), 3),
+                                         ("GL(5)", (1, 1, 0, 0, 0), 10),
+                                         ("GSpin(7)", (1, 0, 0, 0), 6),
+                                         ("GSp(6)", (1, 1, 1, 1), 8)])
+def test_term_bound_is_the_size_of_the_full_expansion(monkeypatch, name,
+                                                      mu, m):
+    # odd and even degree: the bound admits exactly sum_j |e_j| terms
+    rd = build_group(name)
+    H = hecke_polynomial(rd, mu)
+    size = sum(map(len, H.elementary))
+    monkeypatch.setattr(sk, "TERM_BOUND", size)
+    assert hecke_polynomial(rd, mu) == H and H.degree == m
+    monkeypatch.setattr(sk, "TERM_BOUND", size - 1)
+    with pytest.raises(sk.TermBoundError):
+        hecke_polynomial(rd, mu)
+
+
+def test_orbit_whose_sum_is_not_invariant_is_caught(monkeypatch):
+    # a one-point orbit leaves only e_0 to check directly; its mirror
+    # e_1 = e^sigma is invariant only if every generator fixes sigma
+    rd = build_group("GL(2)")
+    monkeypatch.setattr(sk, "orbit", lambda gens, mu: {(1, 0)})
+    with pytest.raises(SatakeError, match="non-Weyl-invariant"):
+        hecke_polynomial(rd, (1, 1))
 
 
 @pytest.mark.parametrize("name, mu", CLOSED_FORM_CASES,
