@@ -146,6 +146,7 @@ def _suite_prop33(args):
 def _suite_satake_hom(args):
     rng = random.Random(args.seed)
     n, p = args.n, args.p
+    padic.check_size_prime(n, p)
     checks = {}
     ok = True
     for i in range(args.pairs):

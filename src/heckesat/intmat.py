@@ -11,7 +11,7 @@ p-adic valuation scaled by the inverse of its unit part.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from operator import mul
 
 
@@ -62,46 +62,6 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return tuple(sum(map(mul, row, v)) for row in a)
-
-
-def moved_rows(g):
-    """g - 1 by distinct functional: ((f, ((i, c), ...)), ...).
-
-    Each nonzero row i of g - 1 is c * f for a primitive row f whose first
-    nonzero entry is positive, and rows sharing an f are grouped, so
-    g.v = v + sum over f of (f.v) * sum c e_i.  f is stored by its nonzero
-    entries ((j, f_j), ...).  A reflection x - <a, x> a^v has the single
-    functional f = +-a/gcd(a), so moving a vector costs one pairing plus
-    one update per nonzero entry of a^v.  Every matrix, reflection or
-    not, singular or not, takes this same path.
-    """
-    groups = {}
-    for i, row in enumerate(g):
-        r = list(row)
-        r[i] -= 1
-        c = gcd(*r)
-        if c:
-            f = [(j, x // c) for j, x in enumerate(r) if x]
-            if f[0][1] < 0:
-                c = -c
-                f = [(j, -x) for j, x in f]
-            groups.setdefault(tuple(f), []).append((i, c))
-    return tuple((f, tuple(u)) for f, u in groups.items())
-
-
-def apply_moved(rows, v):
-    """g.v from ``moved_rows(g)``; returns v itself when g fixes v."""
-    out = None
-    for f, updates in rows:
-        s = 0
-        for j, x in f:
-            s += x * v[j]
-        if s:
-            if out is None:
-                out = list(v)
-            for i, c in updates:
-                out[i] += s * c
-    return v if out is None else tuple(out)
 
 
 def identity(n):

@@ -47,7 +47,7 @@ class EnumerationBoundError(RuntimeError):
     pass
 
 
-def _check_size_prime(n, p):
+def check_size_prime(n, p):
     if n < 1:
         raise CosetError(f"matrix size n={n} must be >= 1")
     if not is_prime(p):
@@ -67,7 +67,7 @@ class PCoset:
     shift: int = 0
 
     def __post_init__(self):
-        _check_size_prime(self.n, self.p)
+        check_size_prime(self.n, self.p)
 
     @classmethod
     def from_matrix(cls, m, p, shift=0):
@@ -99,7 +99,7 @@ class DoubleCosetSum:
     def __init__(self, n, p, terms=None):
         self.n = int(n)
         self.p = int(p)
-        _check_size_prime(self.n, self.p)
+        check_size_prime(self.n, self.p)
         d = {}
         if terms:
             for lam, c in terms.items():
@@ -163,7 +163,7 @@ def coset_count(lam, p):
     """Number of left cosets in K p**lam K: p**<2 rho, lam> * [n]!_{1/p}
     divided by prod_j [m_j]!_{1/p}, m_j the multiplicities of lam's parts.
     """
-    _check_size_prime(len(lam), p)
+    check_size_prime(len(lam), p)
     lam = _check_type(lam, len(lam))
     q = Fraction(1, p)
     count = p ** sum(d * x for d, x in zip(gl_delta(len(lam)), lam))

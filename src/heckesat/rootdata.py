@@ -2,9 +2,10 @@
 
 A root datum is stored in a single lattice pair (X*, X_*) = (Z^rank, Z^rank)
 with the standard dot pairing; roots live on the X* side, coroots on the
-X_* side, in matching order.  The Weyl group acts on the cocharacter
-lattice by integer matrices; orbits and invariance need only the simple
-reflections, and the full closure is built only where |W| is wanted.
+X_* side, in matching order.  A simple reflection x -> x - <a, x> a^v of
+the cocharacter lattice is kept as its pair (a, a^v) alone; orbits and
+invariance need only these, and the full closure, as integer matrices,
+is built only where |W| is wanted.
 
 Each constructor gives only its simple (root, coroot) pairs; the other
 positive pairs come from one walk of simple reflections up the heights
@@ -33,11 +34,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
-from .intmat import (
-    apply_moved, identity, int_tuple, mat_mul, moved_rows)
+from .intmat import identity, int_tuple
 
 MAX_WEYL_ELEMENTS = 10 ** 6
 
@@ -67,13 +66,14 @@ class RootDatum:
 
     @cached_property
     def _root_expansions(self):
-        """Coefficients of every root over the simple roots, in root order.
+        """(nums, D), root r being sum_j nums[r][j] / D times simple root j.
 
         One fraction-free Gauss-Jordan elimination over Z with every root
         as a right-hand side: after each pivot every row is divided
         exactly by the previous pivot (Bareiss), so at the end each pivot
-        row holds D * x_j, D the last pivot, and only the quotients are
-        Fractions.  Raises RootDatumError if a root is outside the span.
+        row holds D * x_j, D the last pivot.  Both are negated if D < 0,
+        so each coefficient has the sign of its int numerator.  Raises
+        RootDatumError if a root is outside the span.
         """
         k, n = len(self.simple_indices), self.rank
         basis = self.simple_roots
@@ -97,17 +97,15 @@ class RootDatum:
             prev = pv
         if any(x != 0 for row in rows[len(pivots):] for x in row[k:]):
             raise RootDatumError("root outside the span of simple roots")
-        out = []
-        for t in range(k, k + len(self.roots)):
-            sol = [Fraction(0)] * k
-            for r, j in enumerate(pivots):
-                sol[j] = Fraction(rows[r][t], prev)
-            out.append(tuple(sol))
-        return tuple(out)
+        sign = -1 if prev < 0 else 1
+        row = dict(zip(pivots, rows))  # pivot column j -> its row
+        return tuple(tuple(sign * row[j][t] if j in row else 0
+                           for j in range(k))
+                     for t in range(k, k + len(self.roots))), sign * prev
 
     @cached_property
     def _positive(self):
-        return tuple(i for i, c in enumerate(self._root_expansions)
+        return tuple(i for i, c in enumerate(self._root_expansions[0])
                      if all(x >= 0 for x in c))
 
     def positive_root_indices(self):
@@ -126,15 +124,7 @@ class RootDatum:
 class WeylGroup:
     rank: int
     elements: tuple      # integer matrices acting on X_*
-    generators: tuple    # simple-reflection matrices, in simple_indices order
-
-
-def _reflection_matrix_costar(root, coroot, rank):
-    """Matrix of s(x) = x - <root, x> coroot acting on X_*."""
-    return tuple(
-        tuple((1 if a == b else 0) - coroot[a] * root[b] for b in range(rank))
-        for a in range(rank)
-    )
+    generators: tuple    # simple_reflections of the datum
 
 
 def validate(rd: RootDatum):
@@ -146,19 +136,15 @@ def validate(rd: RootDatum):
             raise RootDatumError(f"<a, a^> != 2 for {a}, {av}")
     rootset = set(rd.roots)
     corootset = set(rd.coroots)
-    for i in rd.simple_indices:
-        a, av = rd.roots[i], rd.coroots[i]
+    for a, av in simple_reflections(rd):
         # dual reflection on X*: b -> b - <b, a^> a
-        for b in rd.roots:
-            k = rd.pairing(b, av)
-            if tuple(x - k * y for x, y in zip(b, a)) not in rootset:
-                raise RootDatumError("simple reflection does not permute roots")
+        if any(apply_reflection((av, a), b) not in rootset for b in rd.roots):
+            raise RootDatumError("simple reflection does not permute roots")
         # reflection on X_*: b^ -> b^ - <a, b^> a^
-        for bv in rd.coroots:
-            k = rd.pairing(a, bv)
-            if tuple(x - k * y for x, y in zip(bv, av)) not in corootset:
-                raise RootDatumError("simple reflection does not permute coroots")
-    for coeffs in rd._root_expansions:
+        if any(apply_reflection((a, av), bv) not in corootset
+               for bv in rd.coroots):
+            raise RootDatumError("simple reflection does not permute coroots")
+    for coeffs in rd._root_expansions[0]:
         if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
             raise RootDatumError("root with mixed-sign simple expansion")
     # Cartan integers of simple pairs
@@ -319,32 +305,57 @@ def dual(rd: RootDatum) -> RootDatum:
 # Weyl groups and cocharacter combinatorics
 
 def simple_reflections(rd: RootDatum):
-    """Simple-reflection matrices acting on X_*, in simple_indices order."""
+    """The simple reflections x -> x - <a, x> a^v of X_*, in simple_indices
+    order, each as the nonzero entries ((j, a_j), ...) of the root a and
+    ((i, a^v_i), ...) of the coroot a^v."""
     return tuple(
-        _reflection_matrix_costar(rd.roots[i], rd.coroots[i], rd.rank)
-        for i in rd.simple_indices
-    )
+        tuple(tuple((j, x) for j, x in enumerate(v) if x)
+              for v in (rd.roots[i], rd.coroots[i]))
+        for i in rd.simple_indices)
+
+
+def apply_reflection(s, x):
+    """s(x) = x - <a, x> a^v for s = (a, a^v) from ``simple_reflections``.
+
+    One pairing and one update per nonzero entry of a^v; x itself is
+    returned when <a, x> = 0, the one case where s fixes x.
+    """
+    a, av = s
+    k = 0
+    for j, c in a:
+        k += c * x[j]
+    if not k:
+        return x
+    y = list(x)
+    for i, c in av:
+        y[i] -= k * c
+    return tuple(y)
 
 
 def weyl_group(rd: RootDatum) -> WeylGroup:
-    """Closure of the simple reflections acting on X_*."""
+    """Closure of the simple reflections acting on X_*.
+
+    An element is kept as the tuple of its column images, so s.w reflects
+    each column; the matrices are formed once, at the end.
+    """
     gens = simple_reflections(rd)
     seen = {identity(rd.rank)}
-    frontier = [identity(rd.rank)]
+    frontier = list(seen)
     while frontier:
         nxt = []
         for w in frontier:
-            for g in gens:
-                wg = mat_mul(g, w)
-                if wg not in seen:
-                    seen.add(wg)
-                    nxt.append(wg)
+            for s in gens:
+                sw = tuple(apply_reflection(s, col) for col in w)
+                if sw not in seen:
+                    seen.add(sw)
+                    nxt.append(sw)
                     if len(seen) > MAX_WEYL_ELEMENTS:
                         raise WeylBoundError(
                             f"Weyl closure exceeds {MAX_WEYL_ELEMENTS} elements"
                         )
         frontier = nxt
-    return WeylGroup(rd.rank, tuple(sorted(seen)), gens)
+    return WeylGroup(rd.rank, tuple(sorted(tuple(zip(*w)) for w in seen)),
+                     gens)
 
 
 def weyl_order_formula(rd: RootDatum):
@@ -399,20 +410,19 @@ def dominant_representative(rd: RootDatum, mu):
 
 
 def orbit(gens, mu):
-    """Orbit of mu under the group generated by the matrices gens, as a set.
+    """Orbit of mu under the reflections gens, as a set.
 
     Pass ``simple_reflections(rd)`` for the full Weyl orbit of a
     cocharacter; no group element beyond the generators is formed.
     """
     mu = tuple(mu)
-    gens = tuple(map(moved_rows, gens))
     seen = {mu}
     frontier = [mu]
     while frontier:
         nxt = []
         for x in frontier:
-            for rows in gens:
-                y = apply_moved(rows, x)
+            for s in gens:
+                y = apply_reflection(s, x)
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
@@ -443,6 +453,7 @@ def named_cocharacter(rd: RootDatum, alias):
     * GSpin(2n+1): ``spin`` = (1, 0, ..., 0, 0), the unique noncentral
       dominant minuscule cocharacter in the documented basis; ``central``
       = the similitude direction e_0.
+    * SL(n): none; it has no nonzero central cocharacter.
     """
     fam, size = parse_group_name(rd.name)
     alias = alias.lower().replace("_", "-")
@@ -453,7 +464,8 @@ def named_cocharacter(rd: RootDatum, alias):
         if fam in ("GSp", "GSO"):
             # z with <eps_i - eps_j, z> = 0 and <eps_i + eps_j - eta, z> = 0
             return tuple(1 for _ in range(n - 1)) + (2,)
-        return _e(n - 1, n)  # GSpin: the e_0 direction
+        if fam == "GSpin":
+            return _e(n - 1, n)  # the e_0 direction
     if fam == "GL" and alias in ("std", "standard"):
         return _e(0, n)
     if fam == "GSp" and alias == "siegel":

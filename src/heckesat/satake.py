@@ -27,10 +27,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
 
-from .intmat import apply_moved, int_tuple, moved_rows
+from .intmat import int_tuple
 from .laurent import Laurent
 from .rootdata import (
     RootDatum,
+    apply_reflection,
     dominant_representative,
     is_minuscule,
     orbit,
@@ -146,29 +147,18 @@ class GroupAlgebraElement:
         return " + ".join(parts)
 
 
-def weyl_act(w, x: GroupAlgebraElement) -> GroupAlgebraElement:
-    """Apply a Weyl matrix to every exponent; a ring automorphism."""
-    if len(w) != x.rank:
-        raise SatakeError("rank mismatch between Weyl matrix and element")
-    rows = moved_rows(w)
-    d = {apply_moved(rows, lam): c for lam, c in x.terms.items()}
-    if len(d) != len(x.terms):
-        raise SatakeError("Weyl matrix is singular: two exponents collide")
-    return GroupAlgebraElement._trusted(x.rank, d)
-
-
 def is_weyl_invariant(gens, terms) -> bool:
-    """True iff every matrix in gens fixes the {exponent: coefficient} map.
+    """True iff every reflection in gens fixes the {exponent: coefficient} map.
 
     Then the whole group they generate fixes it, so passing
     ``simple_reflections(rd)`` tests invariance under the Weyl group.
-    A Weyl matrix permutes exponents, so g fixes the map iff it holds the
-    coefficient c at g.lam for every term c e^lam; nothing is built, and a
-    term that g fixes needs no lookup.
+    A reflection s permutes exponents, so it fixes the map iff the map
+    holds the coefficient c at s(lam) for every term c e^lam; nothing is
+    built, and a term with <a, lam> = 0 needs no lookup.
     """
-    for rows in map(moved_rows, gens):
+    for s in gens:
         for lam, c in terms.items():
-            img = apply_moved(rows, lam)
+            img = apply_reflection(s, lam)
             if img is not lam and terms.get(img) != c:
                 return False
     return True
@@ -245,7 +235,7 @@ def hecke_polynomial(rd: RootDatum, mu) -> HeckePolynomialSatake:
         if not is_weyl_invariant(gens, ej):
             raise SatakeError("non-Weyl-invariant Hecke coefficient")
     sigma = tuple(map(sum, zip(*orb)))
-    if any(apply_moved(moved_rows(g), sigma) != sigma for g in gens):
+    if any(apply_reflection(s, sigma) != sigma for s in gens):
         raise SatakeError("non-Weyl-invariant Hecke coefficient")
     e += [{tuple(map(sub, sigma, nu)): c for nu, c in e[m - j].items()}
           for j in range(h + 1, m + 1)]

@@ -112,6 +112,20 @@ def test_bad_size_or_prime_is_usage_error(capsys):
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_composite_prime_is_usage_error_even_with_no_pairs(capsys):
+    code, out, err = run(capsys, "verify", "satake-hom", "--n", "2",
+                         "--p", "4", "--pairs", "0")
+    assert (code, out, err) == (2, "", "error: p=4 is not prime\n")
+
+
+@pytest.mark.parametrize("group", ["SL2", "SL3"])
+def test_sl_central_alias_is_usage_error(capsys, group):
+    code, out, err = run(capsys, "hecke-poly", "--group", group,
+                         "--mu", "central")
+    assert code == 2 and out == ""
+    assert err.startswith("error: no cocharacter alias 'central' for SL(")
+
+
 def test_suite_with_zero_checks_fails(capsys):
     for argv in (["verify", "satake-hom", "--pairs", "0"],
                  ["verify", "frobdemo", "--p", "5", "--curves", "0"]):
@@ -205,6 +219,138 @@ GSP4_SIEGEL_JSON = (
     '[[1, 0, 1], [[3, [-1, 1]]]], [[1, 1, 1], [[3, [-1, 1]]]]], '
     '[[[0, 0, 0], [[0, [1, 1]]]]]], "d": 3, "degree": 4, "group": "GSp(4)", '
     '"mu": [1, 1, 1], "vanishing_at_mu": true}\n')
+# the two data whose coroots have two nonzero entries
+GSPIN7_SPIN_JSON = (
+    '{"coefficients": [[[[0, 0, 0, 3], [[30, [1, 1]]]]], [[[-1, 0, 0, 3], '
+    '[[25, [-1, 1]]]], [[0, -1, 0, 3], [[25, [-1, 1]]]], [[0, 0, -1, 3], '
+    '[[25, [-1, 1]]]], [[0, 0, 1, 2], [[25, [-1, 1]]]], [[0, 1, 0, 2], '
+    '[[25, [-1, 1]]]], [[1, 0, 0, 2], [[25, [-1, 1]]]]], [[[-1, -1, 0, 3], '
+    '[[20, [1, 1]]]], [[-1, 0, -1, 3], [[20, [1, 1]]]], [[-1, 0, 1, 2], '
+    '[[20, [1, 1]]]], [[-1, 1, 0, 2], [[20, [1, 1]]]], [[0, -1, -1, 3], '
+    '[[20, [1, 1]]]], [[0, -1, 1, 2], [[20, [1, 1]]]], [[0, 0, 0, 2], '
+    '[[20, [3, 1]]]], [[0, 1, -1, 2], [[20, [1, 1]]]], [[0, 1, 1, 1], '
+    '[[20, [1, 1]]]], [[1, -1, 0, 2], [[20, [1, 1]]]], [[1, 0, -1, 2], '
+    '[[20, [1, 1]]]], [[1, 0, 1, 1], [[20, [1, 1]]]], [[1, 1, 0, 1], [[20, '
+    '[1, 1]]]]], [[[-1, -1, -1, 3], [[15, [-1, 1]]]], [[-1, -1, 1, 2], '
+    '[[15, [-1, 1]]]], [[-1, 0, 0, 2], [[15, [-2, 1]]]], [[-1, 1, -1, 2], '
+    '[[15, [-1, 1]]]], [[-1, 1, 1, 1], [[15, [-1, 1]]]], [[0, -1, 0, 2], '
+    '[[15, [-2, 1]]]], [[0, 0, -1, 2], [[15, [-2, 1]]]], [[0, 0, 1, 1], '
+    '[[15, [-2, 1]]]], [[0, 1, 0, 1], [[15, [-2, 1]]]], [[1, -1, -1, 2], '
+    '[[15, [-1, 1]]]], [[1, -1, 1, 1], [[15, [-1, 1]]]], [[1, 0, 0, 1], '
+    '[[15, [-2, 1]]]], [[1, 1, -1, 1], [[15, [-1, 1]]]], [[1, 1, 1, 0], '
+    '[[15, [-1, 1]]]]], [[[-1, -1, 0, 2], [[10, [1, 1]]]], [[-1, 0, -1, '
+    '2], [[10, [1, 1]]]], [[-1, 0, 1, 1], [[10, [1, 1]]]], [[-1, 1, 0, 1], '
+    '[[10, [1, 1]]]], [[0, -1, -1, 2], [[10, [1, 1]]]], [[0, -1, 1, 1], '
+    '[[10, [1, 1]]]], [[0, 0, 0, 1], [[10, [3, 1]]]], [[0, 1, -1, 1], '
+    '[[10, [1, 1]]]], [[0, 1, 1, 0], [[10, [1, 1]]]], [[1, -1, 0, 1], '
+    '[[10, [1, 1]]]], [[1, 0, -1, 1], [[10, [1, 1]]]], [[1, 0, 1, 0], '
+    '[[10, [1, 1]]]], [[1, 1, 0, 0], [[10, [1, 1]]]]], [[[-1, 0, 0, 1], '
+    '[[5, [-1, 1]]]], [[0, -1, 0, 1], [[5, [-1, 1]]]], [[0, 0, -1, 1], '
+    '[[5, [-1, 1]]]], [[0, 0, 1, 0], [[5, [-1, 1]]]], [[0, 1, 0, 0], [[5, '
+    '[-1, 1]]]], [[1, 0, 0, 0], [[5, [-1, 1]]]]], [[[0, 0, 0, 0], [[0, [1, '
+    '1]]]]]], "d": 5, "degree": 6, "group": "GSpin(7)", "mu": [1, 0, 0, '
+    '0], "vanishing_at_mu": true}\n')
+GSO8_HALF_SPIN_JSON = (
+    '{"coefficients": [[[[4, 4, 4, 4, 8], [[48, [1, 1]]]]], [[[3, 3, 3, 3, '
+    '7], [[42, [-1, 1]]]], [[3, 3, 4, 4, 7], [[42, [-1, 1]]]], [[3, 4, 3, '
+    '4, 7], [[42, [-1, 1]]]], [[3, 4, 4, 3, 7], [[42, [-1, 1]]]], [[4, 3, '
+    '3, 4, 7], [[42, [-1, 1]]]], [[4, 3, 4, 3, 7], [[42, [-1, 1]]]], [[4, '
+    '4, 3, 3, 7], [[42, [-1, 1]]]], [[4, 4, 4, 4, 7], [[42, [-1, 1]]]]], '
+    '[[[2, 2, 3, 3, 6], [[36, [1, 1]]]], [[2, 3, 2, 3, 6], [[36, [1, '
+    '1]]]], [[2, 3, 3, 2, 6], [[36, [1, 1]]]], [[2, 3, 3, 4, 6], [[36, [1, '
+    '1]]]], [[2, 3, 4, 3, 6], [[36, [1, 1]]]], [[2, 4, 3, 3, 6], [[36, [1, '
+    '1]]]], [[3, 2, 2, 3, 6], [[36, [1, 1]]]], [[3, 2, 3, 2, 6], [[36, [1, '
+    '1]]]], [[3, 2, 3, 4, 6], [[36, [1, 1]]]], [[3, 2, 4, 3, 6], [[36, [1, '
+    '1]]]], [[3, 3, 2, 2, 6], [[36, [1, 1]]]], [[3, 3, 2, 4, 6], [[36, [1, '
+    '1]]]], [[3, 3, 3, 3, 6], [[36, [4, 1]]]], [[3, 3, 4, 2, 6], [[36, [1, '
+    '1]]]], [[3, 3, 4, 4, 6], [[36, [1, 1]]]], [[3, 4, 2, 3, 6], [[36, [1, '
+    '1]]]], [[3, 4, 3, 2, 6], [[36, [1, 1]]]], [[3, 4, 3, 4, 6], [[36, [1, '
+    '1]]]], [[3, 4, 4, 3, 6], [[36, [1, 1]]]], [[4, 2, 3, 3, 6], [[36, [1, '
+    '1]]]], [[4, 3, 2, 3, 6], [[36, [1, 1]]]], [[4, 3, 3, 2, 6], [[36, [1, '
+    '1]]]], [[4, 3, 3, 4, 6], [[36, [1, 1]]]], [[4, 3, 4, 3, 6], [[36, [1, '
+    '1]]]], [[4, 4, 3, 3, 6], [[36, [1, 1]]]]], [[[1, 2, 2, 3, 5], [[30, '
+    '[-1, 1]]]], [[1, 2, 3, 2, 5], [[30, [-1, 1]]]], [[1, 3, 2, 2, 5], '
+    '[[30, [-1, 1]]]], [[1, 3, 3, 3, 5], [[30, [-1, 1]]]], [[2, 1, 2, 3, '
+    '5], [[30, [-1, 1]]]], [[2, 1, 3, 2, 5], [[30, [-1, 1]]]], [[2, 2, 1, '
+    '3, 5], [[30, [-1, 1]]]], [[2, 2, 2, 2, 5], [[30, [-3, 1]]]], [[2, 2, '
+    '2, 4, 5], [[30, [-1, 1]]]], [[2, 2, 3, 1, 5], [[30, [-1, 1]]]], [[2, '
+    '2, 3, 3, 5], [[30, [-3, 1]]]], [[2, 2, 4, 2, 5], [[30, [-1, 1]]]], '
+    '[[2, 3, 1, 2, 5], [[30, [-1, 1]]]], [[2, 3, 2, 1, 5], [[30, [-1, '
+    '1]]]], [[2, 3, 2, 3, 5], [[30, [-3, 1]]]], [[2, 3, 3, 2, 5], [[30, '
+    '[-3, 1]]]], [[2, 3, 3, 4, 5], [[30, [-1, 1]]]], [[2, 3, 4, 3, 5], '
+    '[[30, [-1, 1]]]], [[2, 4, 2, 2, 5], [[30, [-1, 1]]]], [[2, 4, 3, 3, '
+    '5], [[30, [-1, 1]]]], [[3, 1, 2, 2, 5], [[30, [-1, 1]]]], [[3, 1, 3, '
+    '3, 5], [[30, [-1, 1]]]], [[3, 2, 1, 2, 5], [[30, [-1, 1]]]], [[3, 2, '
+    '2, 1, 5], [[30, [-1, 1]]]], [[3, 2, 2, 3, 5], [[30, [-3, 1]]]], [[3, '
+    '2, 3, 2, 5], [[30, [-3, 1]]]], [[3, 2, 3, 4, 5], [[30, [-1, 1]]]], '
+    '[[3, 2, 4, 3, 5], [[30, [-1, 1]]]], [[3, 3, 1, 3, 5], [[30, [-1, '
+    '1]]]], [[3, 3, 2, 2, 5], [[30, [-3, 1]]]], [[3, 3, 2, 4, 5], [[30, '
+    '[-1, 1]]]], [[3, 3, 3, 1, 5], [[30, [-1, 1]]]], [[3, 3, 3, 3, 5], '
+    '[[30, [-3, 1]]]], [[3, 3, 4, 2, 5], [[30, [-1, 1]]]], [[3, 4, 2, 3, '
+    '5], [[30, [-1, 1]]]], [[3, 4, 3, 2, 5], [[30, [-1, 1]]]], [[4, 2, 2, '
+    '2, 5], [[30, [-1, 1]]]], [[4, 2, 3, 3, 5], [[30, [-1, 1]]]], [[4, 3, '
+    '2, 3, 5], [[30, [-1, 1]]]], [[4, 3, 3, 2, 5], [[30, [-1, 1]]]]], '
+    '[[[0, 2, 2, 2, 4], [[24, [1, 1]]]], [[1, 1, 1, 3, 4], [[24, [1, '
+    '1]]]], [[1, 1, 2, 2, 4], [[24, [2, 1]]]], [[1, 1, 3, 1, 4], [[24, [1, '
+    '1]]]], [[1, 2, 1, 2, 4], [[24, [2, 1]]]], [[1, 2, 2, 1, 4], [[24, [2, '
+    '1]]]], [[1, 2, 2, 3, 4], [[24, [2, 1]]]], [[1, 2, 3, 2, 4], [[24, [2, '
+    '1]]]], [[1, 3, 1, 1, 4], [[24, [1, 1]]]], [[1, 3, 2, 2, 4], [[24, [2, '
+    '1]]]], [[1, 3, 3, 3, 4], [[24, [1, 1]]]], [[2, 0, 2, 2, 4], [[24, [1, '
+    '1]]]], [[2, 1, 1, 2, 4], [[24, [2, 1]]]], [[2, 1, 2, 1, 4], [[24, [2, '
+    '1]]]], [[2, 1, 2, 3, 4], [[24, [2, 1]]]], [[2, 1, 3, 2, 4], [[24, [2, '
+    '1]]]], [[2, 2, 0, 2, 4], [[24, [1, 1]]]], [[2, 2, 1, 1, 4], [[24, [2, '
+    '1]]]], [[2, 2, 1, 3, 4], [[24, [2, 1]]]], [[2, 2, 2, 0, 4], [[24, [1, '
+    '1]]]], [[2, 2, 2, 2, 4], [[24, [6, 1]]]], [[2, 2, 2, 4, 4], [[24, [1, '
+    '1]]]], [[2, 2, 3, 1, 4], [[24, [2, 1]]]], [[2, 2, 3, 3, 4], [[24, [2, '
+    '1]]]], [[2, 2, 4, 2, 4], [[24, [1, 1]]]], [[2, 3, 1, 2, 4], [[24, [2, '
+    '1]]]], [[2, 3, 2, 1, 4], [[24, [2, 1]]]], [[2, 3, 2, 3, 4], [[24, [2, '
+    '1]]]], [[2, 3, 3, 2, 4], [[24, [2, 1]]]], [[2, 4, 2, 2, 4], [[24, [1, '
+    '1]]]], [[3, 1, 1, 1, 4], [[24, [1, 1]]]], [[3, 1, 2, 2, 4], [[24, [2, '
+    '1]]]], [[3, 1, 3, 3, 4], [[24, [1, 1]]]], [[3, 2, 1, 2, 4], [[24, [2, '
+    '1]]]], [[3, 2, 2, 1, 4], [[24, [2, 1]]]], [[3, 2, 2, 3, 4], [[24, [2, '
+    '1]]]], [[3, 2, 3, 2, 4], [[24, [2, 1]]]], [[3, 3, 1, 3, 4], [[24, [1, '
+    '1]]]], [[3, 3, 2, 2, 4], [[24, [2, 1]]]], [[3, 3, 3, 1, 4], [[24, [1, '
+    '1]]]], [[4, 2, 2, 2, 4], [[24, [1, 1]]]]], [[[0, 1, 1, 2, 3], [[18, '
+    '[-1, 1]]]], [[0, 1, 2, 1, 3], [[18, [-1, 1]]]], [[0, 2, 1, 1, 3], '
+    '[[18, [-1, 1]]]], [[0, 2, 2, 2, 3], [[18, [-1, 1]]]], [[1, 0, 1, 2, '
+    '3], [[18, [-1, 1]]]], [[1, 0, 2, 1, 3], [[18, [-1, 1]]]], [[1, 1, 0, '
+    '2, 3], [[18, [-1, 1]]]], [[1, 1, 1, 1, 3], [[18, [-3, 1]]]], [[1, 1, '
+    '1, 3, 3], [[18, [-1, 1]]]], [[1, 1, 2, 0, 3], [[18, [-1, 1]]]], [[1, '
+    '1, 2, 2, 3], [[18, [-3, 1]]]], [[1, 1, 3, 1, 3], [[18, [-1, 1]]]], '
+    '[[1, 2, 0, 1, 3], [[18, [-1, 1]]]], [[1, 2, 1, 0, 3], [[18, [-1, '
+    '1]]]], [[1, 2, 1, 2, 3], [[18, [-3, 1]]]], [[1, 2, 2, 1, 3], [[18, '
+    '[-3, 1]]]], [[1, 2, 2, 3, 3], [[18, [-1, 1]]]], [[1, 2, 3, 2, 3], '
+    '[[18, [-1, 1]]]], [[1, 3, 1, 1, 3], [[18, [-1, 1]]]], [[1, 3, 2, 2, '
+    '3], [[18, [-1, 1]]]], [[2, 0, 1, 1, 3], [[18, [-1, 1]]]], [[2, 0, 2, '
+    '2, 3], [[18, [-1, 1]]]], [[2, 1, 0, 1, 3], [[18, [-1, 1]]]], [[2, 1, '
+    '1, 0, 3], [[18, [-1, 1]]]], [[2, 1, 1, 2, 3], [[18, [-3, 1]]]], [[2, '
+    '1, 2, 1, 3], [[18, [-3, 1]]]], [[2, 1, 2, 3, 3], [[18, [-1, 1]]]], '
+    '[[2, 1, 3, 2, 3], [[18, [-1, 1]]]], [[2, 2, 0, 2, 3], [[18, [-1, '
+    '1]]]], [[2, 2, 1, 1, 3], [[18, [-3, 1]]]], [[2, 2, 1, 3, 3], [[18, '
+    '[-1, 1]]]], [[2, 2, 2, 0, 3], [[18, [-1, 1]]]], [[2, 2, 2, 2, 3], '
+    '[[18, [-3, 1]]]], [[2, 2, 3, 1, 3], [[18, [-1, 1]]]], [[2, 3, 1, 2, '
+    '3], [[18, [-1, 1]]]], [[2, 3, 2, 1, 3], [[18, [-1, 1]]]], [[3, 1, 1, '
+    '1, 3], [[18, [-1, 1]]]], [[3, 1, 2, 2, 3], [[18, [-1, 1]]]], [[3, 2, '
+    '1, 2, 3], [[18, [-1, 1]]]], [[3, 2, 2, 1, 3], [[18, [-1, 1]]]]], '
+    '[[[0, 0, 1, 1, 2], [[12, [1, 1]]]], [[0, 1, 0, 1, 2], [[12, [1, '
+    '1]]]], [[0, 1, 1, 0, 2], [[12, [1, 1]]]], [[0, 1, 1, 2, 2], [[12, [1, '
+    '1]]]], [[0, 1, 2, 1, 2], [[12, [1, 1]]]], [[0, 2, 1, 1, 2], [[12, [1, '
+    '1]]]], [[1, 0, 0, 1, 2], [[12, [1, 1]]]], [[1, 0, 1, 0, 2], [[12, [1, '
+    '1]]]], [[1, 0, 1, 2, 2], [[12, [1, 1]]]], [[1, 0, 2, 1, 2], [[12, [1, '
+    '1]]]], [[1, 1, 0, 0, 2], [[12, [1, 1]]]], [[1, 1, 0, 2, 2], [[12, [1, '
+    '1]]]], [[1, 1, 1, 1, 2], [[12, [4, 1]]]], [[1, 1, 2, 0, 2], [[12, [1, '
+    '1]]]], [[1, 1, 2, 2, 2], [[12, [1, 1]]]], [[1, 2, 0, 1, 2], [[12, [1, '
+    '1]]]], [[1, 2, 1, 0, 2], [[12, [1, 1]]]], [[1, 2, 1, 2, 2], [[12, [1, '
+    '1]]]], [[1, 2, 2, 1, 2], [[12, [1, 1]]]], [[2, 0, 1, 1, 2], [[12, [1, '
+    '1]]]], [[2, 1, 0, 1, 2], [[12, [1, 1]]]], [[2, 1, 1, 0, 2], [[12, [1, '
+    '1]]]], [[2, 1, 1, 2, 2], [[12, [1, 1]]]], [[2, 1, 2, 1, 2], [[12, [1, '
+    '1]]]], [[2, 2, 1, 1, 2], [[12, [1, 1]]]]], [[[0, 0, 0, 0, 1], [[6, '
+    '[-1, 1]]]], [[0, 0, 1, 1, 1], [[6, [-1, 1]]]], [[0, 1, 0, 1, 1], [[6, '
+    '[-1, 1]]]], [[0, 1, 1, 0, 1], [[6, [-1, 1]]]], [[1, 0, 0, 1, 1], [[6, '
+    '[-1, 1]]]], [[1, 0, 1, 0, 1], [[6, [-1, 1]]]], [[1, 1, 0, 0, 1], [[6, '
+    '[-1, 1]]]], [[1, 1, 1, 1, 1], [[6, [-1, 1]]]]], [[[0, 0, 0, 0, 0], '
+    '[[0, [1, 1]]]]]], "d": 6, "degree": 8, "group": "GSO(8)", "mu": [1, '
+    '1, 1, 1, 1], "vanishing_at_mu": true}\n')
 CORRESP_SEED0_JSON = (
     '{"checks": {"composition associativity (100 triples)": true, '
     '"point mass under Frobenius graph": true, '
@@ -261,6 +407,10 @@ def test_hecke_poly_golden_output(capsys):
          GL2_JSON),
         (["--format", "json", "hecke-poly", "--group", "GSp4",
           "--mu", "siegel"], GSP4_SIEGEL_JSON),
+        (["--format", "json", "hecke-poly", "--group", "GSpin7",
+          "--mu", "spin"], GSPIN7_SPIN_JSON),
+        (["--format", "json", "hecke-poly", "--group", "GSO8",
+          "--mu", "half-spin"], GSO8_HALF_SPIN_JSON),
     ):
         assert run(capsys, *argv) == (0, expected, ""), argv
 

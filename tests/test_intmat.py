@@ -1,5 +1,3 @@
-import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -9,7 +7,6 @@ from hypothesis import assume, given, settings, strategies as st
 from coset_reference import snf_type_by_minors
 from heckesat.intmat import (
     NormalFormError,
-    apply_moved,
     coset_equal,
     det,
     hnf_padic,
@@ -17,8 +14,6 @@ from heckesat.intmat import (
     inverse_rational,
     is_prime,
     mat_mul,
-    mat_vec,
-    moved_rows,
     p_valuation,
     snf_type,
 )
@@ -268,60 +263,3 @@ def test_mat_mul_matches_dense_triple_sum(data):
 def test_mat_mul_rejects_mismatched_shapes(a, b):
     with pytest.raises(NormalFormError, match="dimension mismatch"):
         mat_mul(a, b)
-
-
-# ---------------------------------------------------------------------------
-# moving vectors by g - 1, grouped by primitive row
-
-MOVED_CASES = {
-    "identity": identity(3),
-    "3-cycle": ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
-    "singular": ((1, 1, 0), (0, 0, 0), (2, 2, 1)),
-    # x -> x - <a, x> a^v with a = (2, -2, 0) not primitive, a^v = (1, 0, 1)
-    "non-primitive-root": ((-1, 2, 0), (0, 1, 0), (-2, 2, 1)),
-    # the GSO(8) reflection in eps_3 + eps_4 - eta: a^v has two entries
-    "gso8": ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 0, -1, 1),
-             (0, 0, -1, 0, 1), (0, 0, 0, 0, 1)),
-}
-
-
-@st.composite
-def moved_case(draw):
-    """(g, v): g dense, or 1 + u w^T so that rows of g - 1 are proportional."""
-    n = draw(st.integers(1, 4))
-    small = st.integers(-3, 3)
-    if draw(st.booleans()):
-        g = draw(matrix(n, n, draw(st.sampled_from(("int", "sparse")))))
-    else:
-        u, w = (draw(st.lists(small, min_size=n, max_size=n))
-                for _ in range(2))
-        g = tuple(tuple(int(i == j) + u[i] * w[j] for j in range(n))
-                  for i in range(n))
-    return g, tuple(draw(st.lists(small, min_size=n, max_size=n)))
-
-
-@pytest.mark.parametrize("g", MOVED_CASES.values(), ids=MOVED_CASES)
-def test_apply_moved_matches_mat_vec_on_named_matrices(g):
-    rows = moved_rows(g)
-    for v in itertools.product(range(-2, 3), repeat=len(g)):
-        assert apply_moved(rows, v) == mat_vec(g, v)
-
-
-def test_moved_rows_groups_a_reflection_into_one_functional():
-    assert moved_rows(identity(3)) == ()
-    # rows 0 and 2 of g - 1 are -2 * (1, -1, 0): one pairing, two updates
-    assert moved_rows(MOVED_CASES["non-primitive-root"]) == (
-        (((0, 1), (1, -1)), ((0, -2), (2, -2))),)
-
-
-@settings(max_examples=200, deadline=None)
-@given(moved_case())
-def test_apply_moved_matches_mat_vec(case):
-    g, v = case
-    rows = moved_rows(g)
-    got = apply_moved(rows, v)
-    assert got == mat_vec(g, v)
-    assert (got is v) == (got == v)
-    for f, _ in rows:  # primitive, first entry positive, one per f
-        assert f[0][1] > 0 and math.gcd(*(x for _, x in f)) == 1
-    assert len({f for f, _ in rows}) == len(rows)

@@ -1,3 +1,5 @@
+import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -5,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from heckesat import rootdata as rdm
 from heckesat.cli import ALL_GROUPS
-from heckesat.intmat import mat_vec
+from heckesat.intmat import det, mat_vec
 from heckesat.rootdata import (
     RootDatumError,
+    apply_reflection,
     build_group,
     dominant_representative,
     dual,
@@ -25,12 +28,22 @@ from heckesat.satake import hecke_polynomial
 GROUPS = ["GL(2)", "GL(3)", "GL(4)", "SL(2)", "SL(3)",
           "GSp(4)", "GSp(6)", "GSO(8)", "GSpin(7)"]
 
+# The 26 groups whose generated root data are checked against the
+# formulas of the rootdata module docstring, written out independently.
+REFERENCE_GROUPS = (
+    [f"GL({n})" for n in range(1, 7)] + [f"SL({n})" for n in range(2, 7)]
+    + [f"GSp({2 * g})" for g in range(1, 6)]
+    + [f"GSO({2 * n})" for n in range(2, 7)]
+    + [f"GSpin({2 * n + 1})" for n in range(1, 6)])
 
-@pytest.mark.parametrize("name", GROUPS)
+
+@pytest.mark.parametrize("name", [name for name in REFERENCE_GROUPS
+                                  if build_group(name).rank <= 6])
 def test_weyl_order_matches_formula(name):
     rd = build_group(name)
-    w = weyl_group(rd)
-    assert len(w.elements) == weyl_order_formula(rd)
+    elements = weyl_group(rd).elements
+    assert len(elements) == weyl_order_formula(rd)
+    assert all(det(w) in (1, -1) for w in elements)
 
 
 def test_weyl_orders_explicit():
@@ -137,10 +150,20 @@ def test_parabolic_data(name, alias, orbit_size, d):
 
 
 def test_central_cocharacter_pairs_zero():
-    for name in ["GSp(4)", "GSO(8)", "GSpin(7)"]:
-        rd = build_group(name)
-        z = named_cocharacter(rd, "central")
-        assert all(rd.pairing(a, z) == 0 for a in rd.roots)
+    for name in REFERENCE_GROUPS:
+        if not name.startswith("SL"):
+            rd = build_group(name)
+            z = named_cocharacter(rd, "central")
+            assert any(z) and all(rd.pairing(a, z) == 0 for a in rd.roots)
+
+
+@pytest.mark.parametrize("name", ["SL(2)", "SL(3)"])
+def test_sl_has_no_central_cocharacter_alias(name):
+    # the center of SL(n) is finite: no nonzero cocharacter pairs to 0
+    # with every root
+    with pytest.raises(RootDatumError, match=re.escape(
+            f"no cocharacter alias 'central' for {name}")):
+        named_cocharacter(build_group(name), "central")
 
 
 def test_enumerate_dominant_minuscule():
@@ -198,12 +221,13 @@ def test_root_expansions_solve_the_simple_system(data):
                    for t in range(n)) for cj in cs]
     rd = rdm.RootDatum("test", n, tuple(simple + roots), (),
                        tuple(range(k)))
-    expansions = rd._root_expansions
+    nums, den = rd._root_expansions
+    assert den > 0 and all(type(c) is int for e in nums for c in e)
+    expansions = tuple(tuple(Fraction(c, den) for c in e) for e in nums)
     assert expansions[:k] == tuple(
         tuple(Fraction(int(i == j)) for j in range(k)) for i in range(k))
     assert expansions[k:] == tuple(tuple(Fraction(c * s) for c in cj)
                                    for cj in cs)
-    assert all(type(c) is Fraction for e in expansions for c in e)
     # below full rank the last coordinate is 0 on the span, 1 on e_n
     if k < n:
         e_n = (0,) * (n - 1) + (1,)
@@ -300,15 +324,6 @@ def test_orbit_from_generators_matches_closure(name):
         assert orbit(gens, mu) == {mat_vec(w, mu) for w in elements}
 
 
-# The 26 groups whose generated root data are checked against the
-# formulas of the rootdata module docstring, written out independently.
-REFERENCE_GROUPS = (
-    [f"GL({n})" for n in range(1, 7)] + [f"SL({n})" for n in range(2, 7)]
-    + [f"GSp({2 * g})" for g in range(1, 6)]
-    + [f"GSO({2 * n})" for n in range(2, 7)]
-    + [f"GSpin({2 * n + 1})" for n in range(1, 6)])
-
-
 def _vec(rank, *terms):
     """The vector sum of c * e_i over the (i, c) in terms, in Z^rank."""
     v = [0] * rank
@@ -378,10 +393,34 @@ def test_generated_root_data_match_the_documented_formulas(name):
     assert rd.simple_indices == tuple(range(ss_rank))
     half = len(rd.roots) // 2
     assert rd.positive_root_indices() == tuple(range(half))
-    expansions = rd._root_expansions[:half]
+    nums, den = rd._root_expansions
+    expansions = [[Fraction(c, den) for c in e] for e in nums[:half]]
     assert all(c >= 0 and c.denominator == 1 for e in expansions for c in e)
     heights = [sum(e) for e in expansions]
     assert heights == sorted(heights)
+
+
+@pytest.mark.parametrize("name", REFERENCE_GROUPS)
+def test_apply_reflection_matches_the_dense_form(name):
+    # x - <a, x> a^v on a box of vectors, and x itself iff <a, x> = 0
+    rd = build_group(name)
+    side = range(-2, 3) if rd.rank <= 4 else range(-1, 2)
+    for i, s in zip(rd.simple_indices, simple_reflections(rd)):
+        a, av = rd.roots[i], rd.coroots[i]
+        for x in itertools.product(side, repeat=rd.rank):
+            k = rd.pairing(a, x)
+            y = apply_reflection(s, x)
+            assert y == tuple(t - k * c for t, c in zip(x, av))
+            assert (y is x) == (k == 0)
+
+
+def test_simple_reflections_are_the_root_coroot_pairs():
+    # the nonzero entries of a and a^v: SL(2) has the non-primitive root
+    # 2 with coroot 1, and the last GSO(8) coroot has two entries
+    assert simple_reflections(build_group("SL(2)")) == ((((0, 2),),
+                                                         ((0, 1),)),)
+    assert simple_reflections(build_group("GSO(8)"))[-1] == (
+        ((2, 1), (3, 1), (4, -1)), ((2, 1), (3, 1)))
 
 
 def test_gl1_has_no_roots():
