@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt, lcm
-from operator import mul
 
 
 class NormalFormError(ValueError):
@@ -34,9 +33,13 @@ def is_prime(n):
 
 
 def as_matrix(rows):
-    m = tuple(tuple(int(x) for x in r) for r in rows)
+    """rows as a tuple of tuples; NormalFormError unless a nonempty
+    rectangle of ints (a float or Fraction entry is refused, not cut)."""
+    m = tuple(map(tuple, rows))
     if not m or any(len(r) != len(m[0]) for r in m):
         raise NormalFormError("ragged or empty matrix")
+    if not all(isinstance(x, int) for r in m for x in r):
+        raise NormalFormError(f"matrix {m} has an entry that is not an int")
     return m
 
 
@@ -58,10 +61,6 @@ def mat_mul(a, b):
                 acc = [s + x * y for s, y in zip(acc, row)]
         out.append(tuple(acc))
     return tuple(out)
-
-
-def mat_vec(a, v):
-    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def identity(n):
@@ -220,7 +219,8 @@ def coset_equal(g1, g2, p):
     """
     g1, g2 = ([[Fraction(x) for x in r] for r in g] for g in (g1, g2))
     s = lcm(*(x.denominator for g in (g1, g2) for r in g for x in r))
-    a, b = (as_matrix([s * x for x in r] for r in g) for g in (g1, g2))
+    a, b = (as_matrix([(s * x).numerator for x in r] for r in g)
+            for g in (g1, g2))
     da, db = det(a), det(b)
     if da == 0 or db == 0:
         raise NormalFormError("singular input to coset_equal")

@@ -28,6 +28,7 @@ from .intmat import (
     NormalFormError,
     as_matrix,
     hnf_padic,
+    int_tuple,
     is_prime,
     snf_type,
 )
@@ -97,8 +98,7 @@ class DoubleCosetSum:
     __slots__ = ("n", "p", "terms")
 
     def __init__(self, n, p, terms=None):
-        self.n = int(n)
-        self.p = int(p)
+        self.n, self.p = int_tuple((n, p), 2, "size and prime", CosetError)
         check_size_prime(self.n, self.p)
         d = {}
         if terms:
@@ -140,9 +140,7 @@ class DoubleCosetSum:
 
 
 def _check_type(lam, n):
-    lam = tuple(int(x) for x in lam)
-    if len(lam) != n:
-        raise CosetError(f"type {lam} has wrong length for n={n}")
+    lam = int_tuple(lam, n, "type", CosetError)
     if any(lam[i] < lam[i + 1] for i in range(n - 1)):
         raise CosetError(f"type {lam} is not sorted descending")
     if lam[-1] < 0:
@@ -204,8 +202,8 @@ def decompose_double_coset(lam, n, p):
     orbit of p**lam0 K, shifted by p**c.  More than ENUM_BOUND cosets
     raise EnumerationBoundError.
     """
+    n, p = int_tuple((n, p), 2, "size and prime", CosetError)
     lam = _check_type(lam, n)
-    n, p = int(n), int(p)
     c = lam[-1]
     lam0 = tuple(x - c for x in lam)
     count = coset_count(lam0, p)
@@ -354,8 +352,8 @@ def double_coset_sum_to_dict(h: DoubleCosetSum):
 
 def double_coset_sum_from_dict(d) -> DoubleCosetSum:
     return DoubleCosetSum(
-        int(d["n"]), int(d["p"]),
-        {tuple(int(x) for x in t["type"]): Fraction(*t["coeff"])
+        d["n"], d["p"],
+        {tuple(t["type"]): Fraction(*t["coeff"])
          for t in d["terms"]})
 
 

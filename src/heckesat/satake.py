@@ -33,6 +33,7 @@ from .rootdata import (
     RootDatum,
     apply_reflection,
     dominant_representative,
+    is_dominant,
     is_minuscule,
     orbit,
     simple_reflections,
@@ -56,13 +57,11 @@ class GroupAlgebraElement:
     __slots__ = ("terms", "rank")
 
     def __init__(self, rank, terms=None):
-        self.rank = int(rank)
+        (self.rank,) = int_tuple((rank,), 1, "rank", SatakeError)
         d = {}
         if terms:
             for lam, c in terms.items():
-                lam = tuple(int(x) for x in lam)
-                if len(lam) != self.rank:
-                    raise SatakeError("exponent rank mismatch")
+                lam = int_tuple(lam, self.rank, "exponent", SatakeError)
                 if not isinstance(c, Laurent):
                     c = Laurent.from_scalar(c)
                 if not c.is_zero():
@@ -79,7 +78,7 @@ class GroupAlgebraElement:
 
     @classmethod
     def exp(cls, lam, coeff=None):
-        lam = tuple(int(x) for x in lam)
+        lam = tuple(lam)
         return cls(len(lam), {lam: coeff if coeff is not None else Laurent.one()})
 
     def is_zero(self):
@@ -202,9 +201,8 @@ def hecke_polynomial(rd: RootDatum, mu) -> HeckePolynomialSatake:
     counted with their mirror images, would hold more than TERM_BOUND
     terms in all: the counts only grow, so this refuses exactly the
     polynomials whose full expansion exceeds the bound.  Raises SatakeError
-    unless every e_j is Weyl invariant: e_0 .. e_h are checked, and a
-    generator that fixes sigma commutes with nu -> sigma - nu, so it fixes
-    each mirrored e_{m-j} when it fixes e_j.
+    unless every simple reflection maps the orbit into itself: it then
+    permutes the j-subsets of the orbit, so every e_j is Weyl invariant.
     """
     mu = int_tuple(mu, rd.rank, "rank-length cocharacter", SatakeError)
     if not is_minuscule(rd, mu):
@@ -212,6 +210,8 @@ def hecke_polynomial(rd: RootDatum, mu) -> HeckePolynomialSatake:
     mu = dominant_representative(rd, mu)
     gens = simple_reflections(rd)
     orb = sorted(orbit(gens, mu))
+    if not is_weyl_invariant(gens, dict.fromkeys(orb, 1)):
+        raise SatakeError("non-Weyl-invariant Hecke coefficient")
     d = rd.pairing(rd.delta(), mu)
     m = len(orb)
     h = m // 2
@@ -231,12 +231,7 @@ def hecke_polynomial(rd: RootDatum, mu) -> HeckePolynomialSatake:
                 raise TermBoundError(
                     f"the Hecke polynomial of {rd.name} at {mu} needs more "
                     f"than the bound of {TERM_BOUND} e_j terms")
-    for ej in e:
-        if not is_weyl_invariant(gens, ej):
-            raise SatakeError("non-Weyl-invariant Hecke coefficient")
     sigma = tuple(map(sum, zip(*orb)))
-    if any(apply_reflection(s, sigma) != sigma for s in gens):
-        raise SatakeError("non-Weyl-invariant Hecke coefficient")
     e += [{tuple(map(sub, sigma, nu)): c for nu, c in e[m - j].items()}
           for j in range(h + 1, m + 1)]
     return HeckePolynomialSatake(mu, d, m, tuple(e), rd.rank)
@@ -275,50 +270,42 @@ def evaluate_vanishing(H: HeckePolynomialSatake,
 class SatakeParameterSymmetric:
     """Exact values assigned to Weyl-orbit sums of exponentials.
 
-    ``values`` maps the dominant representative of each needed orbit to a
-    scalar: a Fraction/int, or a Laurent in v read modulo v**2 - p.  ``p``
-    is the prime used to evaluate the v-powers multiplying each orbit sum.
+    ``values`` maps the dominant member of each needed orbit to a scalar:
+    a Fraction/int, or a Laurent in v read modulo v**2 - p; the trivial
+    orbit {0} is 1 unless given.  ``p`` is the prime used to evaluate the
+    v-powers multiplying each orbit sum.
     """
     values: dict
     p: int
-
-
-def orbit_sum_decomposition(rd: RootDatum, x: GroupAlgebraElement):
-    """Express a Weyl-invariant element as {orbit representative: Laurent}.
-
-    Orbit representatives are the dominant vectors, the lexicographically
-    largest element of each orbit.  Raises if the element is not constant
-    on some orbit.
-    """
-    out = {}
-    for lam, c in x.terms.items():
-        rep = dominant_representative(rd, lam)
-        if rep in out:
-            if out[rep] != c:
-                raise SatakeError("element is not constant on a Weyl orbit")
-        else:
-            out[rep] = c
-    return out
 
 
 def specialize(H: HeckePolynomialSatake, s: SatakeParameterSymmetric,
                rd: RootDatum):
     """Replace each orbit sum by its assigned scalar and v**2 by p.
 
-    Returns the list of scalar coefficients in ascending degree; entries
-    are Fraction when rational, else the reduced Laurent a + b*v.
+    Raises SatakeError unless every coefficient is Weyl invariant, that is
+    constant on each orbit; it is then the sum of c_lam times the orbit sum
+    of lam over its dominant exponents lam, one per orbit.  Returns the list
+    of scalar coefficients in ascending degree; entries are Fraction when
+    rational, else the reduced Laurent a + b*v.
     """
+    if H.rank != rd.rank:
+        raise SatakeError(f"rank {H.rank} polynomial on {rd.name}")
+    gens = simple_reflections(rd)
     out = []
     for c in H.coefficients:
+        if not is_weyl_invariant(gens, c.terms):
+            raise SatakeError("element is not constant on a Weyl orbit")
         total = Laurent()
-        for rep, lau in orbit_sum_decomposition(rd, c).items():
-            if rep not in s.values:
-                if all(x == 0 for x in rep):
-                    val = 1  # the trivial orbit sum e^0 is the unit
-                else:
-                    raise SatakeError(f"no Satake value assigned to orbit {rep}")
-            else:
+        for rep, lau in c.terms.items():
+            if not is_dominant(rd, rep):
+                continue
+            if rep in s.values:
                 val = s.values[rep]
+            elif any(rep):
+                raise SatakeError(f"no Satake value assigned to orbit {rep}")
+            else:
+                val = 1  # the trivial orbit sum e^0 is the unit
             total = total + lau * val
         total = total.eval_quad(s.p)
         out.append(total if 1 in total.coeffs

@@ -60,6 +60,25 @@ def test_snf_rejects_bad_input():
         snf_type(((1, 0, 0), (0, 1, 0)), 2)
 
 
+@pytest.mark.parametrize("form, m", [
+    # cut to ints, the first two would read as [[1, 0], [0, 2]]
+    (hnf_padic, [[1.5, 0], [0, 2]]),
+    (snf_type, [[Fraction(5, 2), 0], [0, 2]]),
+    (snf_type, [[1, 0], [0, 2.0]]),
+], ids=["hnf-float", "snf-fraction", "snf-integral-float"])
+def test_normal_forms_refuse_non_int_entries(form, m):
+    with pytest.raises(NormalFormError, match="not an int"):
+        form(m, 2)
+
+
+def test_coset_equal_still_takes_fractions():
+    # both sides are scaled to exactly integral entries before the check
+    half = Fraction(1, 2)
+    assert coset_equal(((half, 0), (0, 1)), ((half, half), (0, 1)), 2)
+    assert coset_equal(((Fraction(1, 3), 0), (0, 1)), identity(2), 2)
+    assert not coset_equal(((half, 0), (0, 1)), identity(2), 2)
+
+
 def test_snf_examples():
     assert snf_type(((1, 0), (0, 2)), 2) == (1, 0)
     assert snf_type(((2, 1), (0, 1)), 2) == (1, 0)

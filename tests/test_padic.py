@@ -336,6 +336,24 @@ def test_double_coset_json_roundtrip_property(h):
     assert back == h and pd.double_coset_sum_to_json(back) == text
 
 
+@pytest.mark.parametrize("build", [
+    lambda: DoubleCosetSum(2, 3, {(1.7, 0.2): 1}),
+    lambda: DoubleCosetSum(2.0, 3),
+    lambda: DoubleCosetSum(2, 3.0),
+    lambda: DoubleCosetSum.basis((Fraction(3, 2), 0), 2, 3),
+    lambda: pd.double_coset_sum_from_dict({"n": 2.9, "p": 3, "terms": []}),
+    lambda: pd.double_coset_sum_from_dict(
+        {"n": 2, "p": 3, "terms": [{"type": [1.5, 0], "coeff": [1, 1]}]}),
+    lambda: decompose_double_coset((1.0, 0), 2, 3),
+    lambda: decompose_double_coset((1, 0), 2.0, 3),
+    lambda: coset_count((1, 0.5), 3),
+], ids=["sum-type", "sum-n", "sum-p", "basis-type", "json-n", "json-type",
+        "decompose-type", "decompose-n", "count-type"])
+def test_non_int_sizes_primes_and_types_are_refused(build):
+    with pytest.raises(CosetError, match="not 2 ints"):
+        build()
+
+
 @pytest.mark.parametrize("n,p", [(2, 4), (2, 1), (2, 0), (2, -3), (0, 2)])
 def test_constructors_reject_bad_size_or_prime(n, p):
     with pytest.raises(CosetError):

@@ -3,18 +3,19 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckesat import satake as sk
 from heckesat.cli import ALL_GROUPS
-from heckesat.intmat import mat_vec
 from heckesat.laurent import Laurent
 from heckesat.rootdata import (
     build_group,
     dominant_representative,
     enumerate_dominant_minuscule,
+    is_dominant,
     named_cocharacter,
     orbit,
     simple_reflections,
@@ -52,6 +53,17 @@ def test_is_weyl_invariant():
                                  (G.exp((1, 0)) + G.exp((0, 1), 2)).terms)
     assert is_weyl_invariant(w.generators, {(1, 0): 3, (0, 1): 3})
     assert not is_weyl_invariant(w.generators, {(1, 0): 3, (0, 1): -3})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: G(2, {(1.5, 0): 1}),
+    lambda: G(2, {(1, 0, 0): 1}),
+    lambda: G(2.5, {}),
+    lambda: G.exp((Fraction(1), 0)),
+], ids=["float-exponent", "wrong-rank", "float-rank", "fraction-exponent"])
+def test_group_algebra_refuses_non_int_exponents(build):
+    with pytest.raises(SatakeError, match="ints"):
+        build()
 
 
 def test_gl2_hecke_polynomial_exact():
@@ -156,6 +168,27 @@ def test_specialize_missing_orbit_raises():
     H = hecke_polynomial(rd, (1, 0))
     with pytest.raises(SatakeError):
         specialize(H, SatakeParameterSymmetric({(1, 1): 1}, 5), rd)
+
+
+def test_specialize_refuses_a_non_invariant_coefficient():
+    # a loaded GL(2) polynomial whose t**1 coefficient is -v e^(1,0) alone;
+    # read by its dominant terms alone it would give [5, -v, 1] at orbit
+    # values 1 and p = 5, an answer with no meaning
+    rd = build_group("GL(2)")
+    data = sk.polynomial_to_dict(hecke_polynomial(rd, (1, 0)))
+    data["coefficients"][1] = [t for t in data["coefficients"][1]
+                               if t[0] != [0, 1]]
+    H = sk.polynomial_from_dict(data)
+    s = SatakeParameterSymmetric({(1, 0): 1, (1, 1): 1}, 5)
+    with pytest.raises(SatakeError, match="not constant on a Weyl orbit"):
+        specialize(H, s, rd)
+
+
+def test_specialize_refuses_a_root_datum_of_another_rank():
+    H = hecke_polynomial(build_group("GL(2)"), (1, 0))
+    s = SatakeParameterSymmetric({(1, 0): 1, (1, 1): 1}, 5)
+    with pytest.raises(SatakeError, match="rank 2"):
+        specialize(H, s, build_group("GL(3)"))
 
 
 def evaluate_polynomial(H, x):
@@ -335,7 +368,8 @@ def test_every_elementary_function_matches_the_full_expansion(name, mu):
     # e_j over all j-subsets of the orbit, which is read off the Weyl
     # closure; hecke_polynomial expands only e_0 .. e_{m//2} itself
     rd = build_group(name)
-    orb = {mat_vec(w, mu) for w in weyl_group(rd).elements}
+    orb = {tuple(sum(map(mul, row, mu)) for row in w)
+           for w in weyl_group(rd).elements}
     H = hecke_polynomial(rd, mu)
     assert H.degree == len(orb) and len(H.elementary) == len(orb) + 1
     for j, ej in enumerate(H.elementary):
@@ -384,6 +418,25 @@ def test_hecke_polynomial_at_unit_exponentials(name, mu):
         assert all(set(lau.coeffs) == {e} for lau in c.terms.values())
         assert sum(lau.coeffs[e] for lau in c.terms.values()) == \
             (-1) ** (m - k) * comb(m, k)
+
+
+@pytest.mark.parametrize("name, mu", CLOSED_FORM_CASES,
+                         ids=_case_ids(CLOSED_FORM_CASES))
+def test_specialize_at_unit_exponentials(name, mu):
+    # e^lam := 1 gives each orbit sum the size of its orbit, and specialize
+    # must read exactly one dominant term per orbit to return (t - v**d)**m
+    # with v**2 = 3: v**(2i) is 3**i and v**(2i+1) the Laurent 3**i v
+    rd = build_group(name)
+    gens = simple_reflections(rd)
+    H = hecke_polynomial(rd, mu)
+    sizes = {lam: len(orbit(gens, lam)) for c in H.coefficients
+             for lam in c.terms if is_dominant(rd, lam)}
+    got = specialize(H, SatakeParameterSymmetric(sizes, 3), rd)
+    m = H.degree
+    for k, x in enumerate(got):
+        e = H.d * (m - k)
+        c = (-1) ** (m - k) * comb(m, k) * 3 ** (e // 2)
+        assert x == (Laurent({1: c}) if e % 2 else Fraction(c)), f"t^{k}"
 
 
 @pytest.mark.parametrize("name, alias", [("GL(2)", "std"),
