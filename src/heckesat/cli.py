@@ -43,13 +43,9 @@ def _parse_mu(rd, raw):
     if any(ch.isalpha() for ch in raw):
         return rootdata.named_cocharacter(rd, raw)
     try:
-        mu = tuple(int(x) for x in raw.split(","))
+        return tuple(int(x) for x in raw.split(","))
     except ValueError:
         raise rootdata.RootDatumError(f"cannot parse cocharacter {raw!r}")
-    if len(mu) != rd.rank:
-        raise rootdata.RootDatumError(
-            f"cocharacter {mu} has length {len(mu)}, expected {rd.rank}")
-    return mu
 
 
 def _emit(report, fmt):
@@ -95,12 +91,7 @@ def cmd_hecke_poly(args):
 
 def cmd_convolve(args):
     n, p = args.n, args.p
-    types = []
-    for raw in args.types:
-        lam = tuple(int(x) for x in raw.split(","))
-        if len(lam) != n:
-            raise padic.CosetError(f"type {lam} has wrong length for n={n}")
-        types.append(lam)
+    types = [tuple(int(x) for x in raw.split(",")) for raw in args.types]
     result = padic.DoubleCosetSum.basis(types[0], n, p)
     for lam in types[1:]:
         result = padic.convolve_double(

@@ -29,10 +29,6 @@ Each convention is documented here once; items 1-2 name the code applying it.
    orbit, each with multiplicity one.  This licenses replacing the
    characteristic polynomial of that representation by the orbit
    product; no matrix representation is ever built.
-
-5. Central shift.  Left cosets factor as p**c times a matrix whose
-   entries share no p; the exponent c is carried separately and added
-   back to diagonal valuations and elementary-divisor types.
 """
 
 

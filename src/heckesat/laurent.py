@@ -27,9 +27,14 @@ class Laurent:
         d = {}
         if coeffs:
             for e, c in coeffs.items():
+                if not isinstance(e, int):
+                    raise ValueError(f"exponent {e!r} is not an int")
+                if not isinstance(c, (int, Fraction)):
+                    raise ValueError(
+                        f"coefficient {c!r} is not an int or a Fraction")
                 c = _norm_scalar(c)
                 if c != 0:
-                    d[int(e)] = c
+                    d[e] = c
         self.coeffs = d
 
     @classmethod

@@ -26,7 +26,6 @@ from math import prod
 
 from .intmat import (
     NormalFormError,
-    as_matrix,
     hnf_padic,
     int_tuple,
     is_prime,
@@ -57,31 +56,22 @@ def check_size_prime(n, p):
 
 @dataclass(frozen=True)
 class PCoset:
-    """Canonical left coset p**shift * rep * GL_n(Z_p).
+    """Canonical left coset rep * GL_n(Z_p), rep = hnf_padic(rep, p).
 
-    ``rep`` is in p-adic Hermite form and its entries have no common
-    factor of p; the shared central p-power lives in ``shift``.
+    The Hermite form is homogeneous, hnf_padic(p**c * m) = p**c *
+    hnf_padic(m), so a central p-power stays inside ``rep``.
     """
     n: int
     p: int
     rep: tuple
-    shift: int = 0
 
     def __post_init__(self):
         check_size_prime(self.n, self.p)
 
     @classmethod
-    def from_matrix(cls, m, p, shift=0):
-        m = as_matrix(m)
-        n = len(m)
+    def from_matrix(cls, m, p):
         h = hnf_padic(m, p)
-        content = 0
-        while all(x % p ** (content + 1) == 0 for row in h for x in row):
-            content += 1
-        if content:
-            q = p ** content
-            h = tuple(tuple(x // q for x in row) for row in h)
-        return cls(n, p, h, shift + content)
+        return cls(len(h), p, h)
 
     @classmethod
     def unit(cls, n, p):
@@ -89,7 +79,7 @@ class PCoset:
                                for i in range(n)))
 
     def snf(self):
-        return tuple(a + self.shift for a in snf_type(self.rep, self.p))
+        return snf_type(self.rep, self.p)
 
 
 class DoubleCosetSum:
@@ -179,28 +169,28 @@ def _coset_orbit(lam0, n, p):
     # p**lam0 K is the whole double coset.  Each move permutes the finite
     # orbit, so no inverse moves are needed.
     moves = [(i, j) for i in range(n) for j in (i - 1, i + 1) if 0 <= j < n]
-    start = PCoset(n, p, tuple(tuple(p ** x * (i == j) for j in range(n))
-                               for i, x in enumerate(lam0)))
+    start = tuple(tuple(p ** x * (i == j) for j in range(n))
+                  for i, x in enumerate(lam0))
     seen, todo = {start}, [start]
     while todo:
-        rep = todo.pop().rep
+        rep = todo.pop()
         for i, j in moves:
             m = list(rep)
             m[i] = tuple(x + y for x, y in zip(rep[i], rep[j]))
-            g = PCoset.from_matrix(m, p)
-            if g not in seen:
-                seen.add(g)
-                todo.append(g)
-    return tuple(sorted(seen, key=lambda g: g.rep))
+            h = hnf_padic(m, p)
+            if h not in seen:
+                seen.add(h)
+                todo.append(h)
+    return tuple(PCoset(n, p, h) for h in sorted(seen))
 
 
 def decompose_double_coset(lam, n, p):
     """Canonical left-coset representatives of the double coset of type lam.
 
     The central part is factored out first: for lam = (c, ..., c) + lam0
-    with lam0 ending in 0, the representatives of lam0 are the transvection
-    orbit of p**lam0 K, shifted by p**c.  More than ENUM_BOUND cosets
-    raise EnumerationBoundError.
+    with lam0 ending in 0, the representatives are p**c times those of
+    lam0, the transvection orbit of p**lam0 K, which one cache serves for
+    every c.  More than ENUM_BOUND cosets raise EnumerationBoundError.
     """
     n, p = int_tuple((n, p), 2, "size and prime", CosetError)
     lam = _check_type(lam, n)
@@ -214,7 +204,9 @@ def decompose_double_coset(lam, n, p):
     reps = _coset_orbit(lam0, n, p)
     if c == 0:
         return list(reps)
-    return [PCoset(g.n, g.p, g.rep, g.shift + c) for g in reps]
+    q = p ** c
+    return [PCoset(n, p, tuple(tuple(q * x for x in row) for row in g.rep))
+            for g in reps]
 
 
 def _degree(h: DoubleCosetSum):
@@ -230,7 +222,7 @@ def _product_count(cosets, b, nu, p):
     target = tuple(nu[0] - x for x in reversed(b))
     count = 0
     for x in cosets:
-        m = tuple(tuple(p ** (nu[0] - v + x.shift) * e for e in row)
+        m = tuple(tuple(p ** (nu[0] - v) * e for e in row)
                   for v, row in zip(nu, x.rep))
         count += snf_type(m, p) == target
     return count

@@ -397,14 +397,13 @@ def is_dominant(rd: RootDatum, mu) -> bool:
 def dominant_representative(rd: RootDatum, mu):
     """The unique dominant vector in the Weyl orbit of mu."""
     mu = _cocharacter(rd, mu)
-    simple = [(rd.roots[i], rd.coroots[i]) for i in rd.simple_indices]
+    gens = simple_reflections(rd)
     changed = True
     while changed:
         changed = False
-        for a, av in simple:
-            c = rd.pairing(a, mu)
-            if c < 0:
-                mu = tuple(mu[t] - c * av[t] for t in range(rd.rank))
+        for s in gens:
+            if sum(c * mu[j] for j, c in s[0]) < 0:
+                mu = apply_reflection(s, mu)
                 changed = True
     return mu
 

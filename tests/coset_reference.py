@@ -47,8 +47,8 @@ def convolve_left(f, h):
     for g, cf in f.items():
         for lam, ch in h.terms.items():
             for hi in decompose_double_coset(lam, h.n, h.p):
-                _add(out, PCoset.from_matrix(mat_mul(g.rep, hi.rep), h.p,
-                                             g.shift + hi.shift), cf * ch)
+                _add(out, PCoset.from_matrix(mat_mul(g.rep, hi.rep), h.p),
+                     cf * ch)
     return _nonzero(out)
 
 
@@ -56,8 +56,7 @@ def sigma_to_torus(f, n):
     """Diagonal read-off: diag(p**v_i) carries the exponent chi = -v."""
     out = {}
     for g, c in f.items():
-        chi = tuple(-p_valuation(g.rep[i][i], g.p) - g.shift
-                    for i in range(n))
+        chi = tuple(-p_valuation(g.rep[i][i], g.p) for i in range(n))
         _add(out, chi, c)
     return GroupAlgebraElement(n, out)
 

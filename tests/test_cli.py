@@ -112,6 +112,16 @@ def test_bad_size_or_prime_is_usage_error(capsys):
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["convolve", "--n", "2", "--p", "3", "--types", "1,0,0", "1,0"],
+     "type (1, 0, 0) is not 2 ints"),
+    (["hecke-poly", "--group", "GL2", "--mu", "1,0,0"],
+     "rank-length cocharacter (1, 0, 0) is not 2 ints"),
+], ids=["types", "mu"])
+def test_wrong_length_is_one_library_usage_error(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_composite_prime_is_usage_error_even_with_no_pairs(capsys):
     code, out, err = run(capsys, "verify", "satake-hom", "--n", "2",
                          "--p", "4", "--pairs", "0")
@@ -413,6 +423,20 @@ def test_hecke_poly_golden_output(capsys):
           "--mu", "half-spin"], GSO8_HALF_SPIN_JSON),
     ):
         assert run(capsys, *argv) == (0, expected, ""), argv
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["--n", "2", "--p", "3", "--types", "2,1", "1,1"],
+     '{"n": 2, "p": 3, "product": {"3,2": [1, 1]}, '
+     '"types": [[2, 1], [1, 1]]}\n'),
+    (["--n", "3", "--p", "2", "--types", "2,1,0", "1,1,1"],
+     '{"n": 3, "p": 2, "product": {"3,2,1": [1, 1]}, '
+     '"types": [[2, 1, 0], [1, 1, 1]]}\n'),
+], ids=["gl2", "gl3"])
+def test_convolve_with_central_part_golden_output(capsys, argv, expected):
+    # a central factor p**(c, ..., c) only shifts the type, byte for byte
+    assert run(capsys, "--format", "json", "convolve", *argv) == \
+        (0, expected, "")
 
 
 def test_verify_golden_output(capsys):

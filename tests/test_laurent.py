@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckesat.laurent import Laurent
@@ -25,6 +26,16 @@ def test_fraction_demotion():
     x = Laurent({0: Fraction(4, 2)})
     assert x.coeffs[0] == 2
     assert isinstance(x.coeffs[0], int)
+
+
+@pytest.mark.parametrize("coeffs", [
+    {1.5: 1}, {1: 1, 1.5: 2}, {0: 0.1}], ids=["float-exponent",
+                                            "colliding-exponent",
+                                            "float-coefficient"])
+def test_non_exact_terms_are_refused(coeffs):
+    # int(1.5) would make these v, 2v and an inexact 0.1
+    with pytest.raises(ValueError):
+        Laurent(coeffs)
 
 
 def test_arithmetic():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from heckesat import padic as pd
 from heckesat.conventions import reflect
+from heckesat.intmat import mat_mul
 from heckesat.laurent import Laurent
 from heckesat.padic import (
     CosetError,
@@ -100,10 +101,42 @@ def test_decomposition_reps_are_canonical_and_distinct():
         seen.add(g)
 
 
+def _scaled(rep, q):
+    return tuple(tuple(q * x for x in row) for row in rep)
+
+
 def test_central_shift_factoring():
-    reps = decompose_double_coset((2, 1), 2, 2)
-    assert all(g.shift == 1 for g in reps)
-    assert all(g.snf() == (2, 1) for g in reps)
+    # The reps of (c, ..., c) + lam0 are p**c times those of lam0, in order.
+    for lam0, p in (((1, 0), 2), ((2, 0), 3), ((1, 0, 0), 2),
+                    ((2, 1, 0), 2), ((0, 0), 5)):
+        n = len(lam0)
+        for c in (1, 2):
+            lam = tuple(x + c for x in lam0)
+            reps = decompose_double_coset(lam, n, p)
+            assert [g.rep for g in reps] == [
+                _scaled(g.rep, p ** c)
+                for g in decompose_double_coset(lam0, n, p)], (lam, p)
+            assert all(g.snf() == lam for g in reps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_from_matrix_is_the_homogeneous_hermite_form(data):
+    n = data.draw(st.integers(1, 3))
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    c = data.draw(st.integers(0, 2))
+    ints = st.integers(-p * p, p * p)
+    # upper triangular with p-power diagonal times unit lower triangular
+    upper = [[p ** data.draw(st.integers(0, 2)) if i == j
+              else data.draw(ints) if i < j else 0 for j in range(n)]
+             for i in range(n)]
+    lower = [[int(i == j) if i <= j else data.draw(ints) for j in range(n)]
+             for i in range(n)]
+    m = mat_mul(upper, lower)
+    g = PCoset.from_matrix(m, p)
+    assert g.rep == pd.hnf_padic(m, p)
+    assert PCoset.from_matrix(_scaled(m, p ** c), p).rep == \
+        _scaled(g.rep, p ** c)
 
 
 def test_type_validation():
@@ -135,7 +168,7 @@ def test_convolve_left_central():
     hc = DoubleCosetSum.basis((1, 1), 2, 2)
     out = convolve_left({g: Fraction(1)}, hc)
     (gc, c), = out.items()
-    assert c == 1 and gc.rep == g.rep and gc.shift == g.shift + 1
+    assert c == 1 and gc.rep == _scaled(g.rep, 2)
 
 
 def test_convolve_left_merges_products():
