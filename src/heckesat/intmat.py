@@ -5,7 +5,8 @@ forms here are specific to matrices whose determinant is +/- a power of a
 fixed prime p: they canonicalize left cosets g*GL_n(Z_p) and classify
 double cosets by elementary-divisor type.  Both come from one method:
 reduce mod p**(k+1), k = v_p(det), and eliminate with a pivot of least
-p-adic valuation scaled by the inverse of its unit part.
+p-adic valuation scaled by the inverse of its unit part; the ``_core``
+forms take k from a caller that knows it.
 """
 
 from __future__ import annotations
@@ -102,30 +103,18 @@ def p_valuation(x, p):
     return v
 
 
-def _check_p_power_det(m, p):
+def _check_p_power_det(m, p, name):
+    m = as_matrix(m)
+    if len(m[0]) != len(m):
+        raise NormalFormError(f"{name} needs a square matrix")
     d = det(m)
     if d == 0:
         raise NormalFormError("singular matrix")
     k = p_valuation(d, p)
     if abs(d) != p ** k:
-        raise NormalFormError(
-            f"determinant {d} has a prime factor other than {p}"
-        )
-    return k
-
-
-def _local_rows(m, p, name):
-    """Square m with p-power determinant, as rows reduced mod p**(k+1).
-
-    k = v_p(det m).  Every elementary divisor of m divides p**k, so the
-    reduction moves neither the coset m*GL_n(Z_p) nor its double coset.
-    Returns the mutable rows and the modulus p**(k+1).
-    """
-    m = as_matrix(m)
-    if len(m[0]) != len(m):
-        raise NormalFormError(f"{name} needs a square matrix")
-    mod = p ** (_check_p_power_det(m, p) + 1)
-    return [[x % mod for x in r] for r in m], mod
+        raise NormalFormError(f"determinant {d} has a prime factor "
+                              f"other than {p}")
+    return m, k
 
 
 def hnf_padic(m, p):
@@ -136,7 +125,16 @@ def hnf_padic(m, p):
     p-integral U of p-unit determinant.  H is the unique such matrix, so
     two matrices generate the same coset iff they share an hnf_padic image.
     """
-    h, mod = _local_rows(m, p, "hnf_padic")
+    m, k = _check_p_power_det(m, p, "hnf_padic")
+    return hnf_core(m, p, k)
+
+
+def hnf_core(m, p, k):
+    """hnf_padic(m, p) for square int rows m of known det +/- p**k; nothing
+    is checked.  Every elementary divisor of m divides p**k, so reducing
+    mod p**(k+1) moves neither m*GL_n(Z_p) nor its double coset."""
+    mod = p ** (k + 1)
+    h = [[x % mod for x in r] for r in m]
     n = len(h)
     # Bottom row first: columns 0..i are zero below row i, so only rows
     # 0..i move.  The least-valuation entry of row i becomes the pivot.
@@ -167,11 +165,19 @@ def snf_type(m, p):
     """Elementary-divisor exponents of m at p, sorted descending.
 
     Returns (a_1 >= ... >= a_n >= 0) with m equivalent to diag(p**a_i)
-    under p-unit row and column operations.  Each step moves an entry of
-    least valuation in the remaining block to the pivot and clears the
-    column below it; clearing the pivot row would not touch the block.
+    under p-unit row and column operations.
     """
-    a, mod = _local_rows(m, p, "snf_type")
+    m, k = _check_p_power_det(m, p, "snf_type")
+    return snf_core(m, p, k)
+
+
+def snf_core(m, p, k):
+    """snf_type(m, p) for square int rows m of known det +/- p**k, reduced
+    as in hnf_core; nothing is checked.  Each step moves a least-valuation
+    entry of the remaining block to the pivot and clears the column below
+    it; clearing the pivot row would not touch the block."""
+    mod = p ** (k + 1)
+    a = [[x % mod for x in r] for r in m]
     n = len(a)
     vals = []
     for t in range(n):

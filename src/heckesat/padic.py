@@ -4,7 +4,8 @@ Left cosets g*GL_n(Z_p) are canonicalized by the p-adic Hermite form,
 double cosets K g K by elementary-divisor type.  The left cosets of a
 double coset form one transvection orbit; a product of double cosets is
 read off by counting, (1_{KaK} * 1_{KbK})(p**nu) = #{x in KaK/K :
-x**-1 p**nu in KbK}.  The numeric Satake transform enumerates no
+x**-1 p**nu in KbK}; only an x with x**-1 p**nu integral, a lattice
+containment, gets a Smith form.  The numeric Satake transform enumerates no
 cosets: it is the Hall-Littlewood closed form v**<delta, lam> *
 P_lam(x; 1/p) of Macdonald, *Symmetric Functions and Hall Polynomials*,
 V (3.3), with P_lam from the branching rule III (5.8') and signs fixed
@@ -22,14 +23,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement, product
-from math import prod
+from math import comb, prod
 
 from .intmat import (
     NormalFormError,
+    hnf_core,
     hnf_padic,
     int_tuple,
     is_prime,
-    snf_type,
+    p_valuation,
+    snf_core,
 )
 from .intmat import coset_equal as _coset_equal
 from .laurent import Laurent
@@ -58,15 +61,23 @@ def check_size_prime(n, p):
 class PCoset:
     """Canonical left coset rep * GL_n(Z_p), rep = hnf_padic(rep, p).
 
-    The Hermite form is homogeneous, hnf_padic(p**c * m) = p**c *
-    hnf_padic(m), so a central p-power stays inside ``rep``.
-    """
+    A rep not of that unique shape (n x n int tuples, upper triangular,
+    diagonal p**a_i, entries right of it in [0, p**a_i)) is refused.  The
+    form is homogeneous, so a central p-power stays inside ``rep``."""
     n: int
     p: int
     rep: tuple
 
     def __post_init__(self):
         check_size_prime(self.n, self.p)
+        n, p, rep = self.n, self.p, self.rep
+        if not (isinstance(rep, tuple) and len(rep) == n and all(
+                isinstance(r, tuple) and len(r) == n
+                and all(isinstance(x, int) for x in r) and not any(r[:i])
+                and r[i] > 0 and p ** p_valuation(r[i], p) == r[i]
+                and all(0 <= x < r[i] for x in r[i + 1:])
+                for i, r in enumerate(rep))):
+            raise CosetError(f"rep {rep} is not a Hermite form at p={p}")
 
     @classmethod
     def from_matrix(cls, m, p):
@@ -79,7 +90,8 @@ class PCoset:
                                for i in range(n)))
 
     def snf(self):
-        return snf_type(self.rep, self.p)
+        k = sum(p_valuation(r[i], self.p) for i, r in enumerate(self.rep))
+        return snf_core(self.rep, self.p, k)
 
 
 class DoubleCosetSum:
@@ -107,19 +119,6 @@ class DoubleCosetSum:
     def unit(cls, n, p):
         return cls.basis(tuple(0 for _ in range(n)), n, p)
 
-    def __add__(self, other):
-        if (self.n, self.p) != (other.n, other.p):
-            raise CosetError("size/prime mismatch")
-        d = dict(self.terms)
-        for lam, c in other.terms.items():
-            d[lam] = d.get(lam, Fraction(0)) + c
-        return DoubleCosetSum(self.n, self.p, d)
-
-    def scale(self, c):
-        return DoubleCosetSum(self.n, self.p,
-                              {lam: k * Fraction(c)
-                               for lam, k in self.terms.items()})
-
     def __eq__(self, other):
         if not isinstance(other, DoubleCosetSum):
             return NotImplemented
@@ -143,22 +142,22 @@ def gl_delta(n):
     return tuple(n - 1 - 2 * i for i in range(n))
 
 
-def _q_factorial(k, q):
-    return prod(sum(q ** j for j in range(i)) for i in range(1, k + 1))
+def _q_factorial(k, p):
+    return prod((p ** i - 1) // (p - 1) for i in range(1, k + 1))
 
 
 def coset_count(lam, p):
-    """Number of left cosets in K p**lam K: p**<2 rho, lam> * [n]!_{1/p}
-    divided by prod_j [m_j]!_{1/p}, m_j the multiplicities of lam's parts.
-    """
-    check_size_prime(len(lam), p)
-    lam = _check_type(lam, len(lam))
-    q = Fraction(1, p)
-    count = p ** sum(d * x for d, x in zip(gl_delta(len(lam)), lam))
-    count *= _q_factorial(len(lam), q)
-    for m in Counter(lam).values():
-        count /= _q_factorial(m, q)
-    return int(count)
+    """Left cosets in K p**lam K: p**<2 rho, lam> [n]!_{1/p} / prod_j
+    [m_j]!_{1/p}, m_j the multiplicities of lam's parts; with [m]!_{1/p} =
+    p**-C(m, 2) [m]!_p this is an exact integer quotient."""
+    n = len(lam)
+    check_size_prime(n, p)
+    lam = _check_type(lam, n)
+    mults = Counter(lam).values()
+    e = (sum(d * x for d, x in zip(gl_delta(n), lam)) - comb(n, 2)
+         + sum(comb(m, 2) for m in mults))
+    return (p ** e * _q_factorial(n, p)
+            // prod(_q_factorial(m, p) for m in mults))
 
 
 @cache
@@ -167,17 +166,18 @@ def _coset_orbit(lam0, n, p):
     # transvection I + E_ij.  These generate SL_n(Z), which is dense in
     # SL_n(Z_p), and the diagonal units of K fix p**lam0 K, so the orbit of
     # p**lam0 K is the whole double coset.  Each move permutes the finite
-    # orbit, so no inverse moves are needed.
+    # orbit, so no inverse moves are needed; each keeps |det| = p**|lam0|.
     moves = [(i, j) for i in range(n) for j in (i - 1, i + 1) if 0 <= j < n]
     start = tuple(tuple(p ** x * (i == j) for j in range(n))
                   for i, x in enumerate(lam0))
+    k = sum(lam0)
     seen, todo = {start}, [start]
     while todo:
         rep = todo.pop()
         for i, j in moves:
             m = list(rep)
             m[i] = tuple(x + y for x, y in zip(rep[i], rep[j]))
-            h = hnf_padic(m, p)
+            h = hnf_core(m, p, k)
             if h not in seen:
                 seen.add(h)
                 todo.append(h)
@@ -213,18 +213,33 @@ def _degree(h: DoubleCosetSum):
     return sum(c * coset_count(lam, h.p) for lam, c in h.terms.items())
 
 
-def _product_count(cosets, b, nu, p):
-    """#{x in cosets : x**-1 p**nu in K p**b K}.
+def _back_substitute(x, pnu):
+    """x**-1 diag(pnu) as int rows, solved column by column from the
+    diagonal upwards (x is upper triangular); None once a division leaves
+    a remainder, i.e. the result is not integral."""
+    n = len(x)
+    y = [[0] * n for _ in range(n)]
+    for j in range(n):
+        for i in range(j, -1, -1):
+            s = pnu[j] * (i == j) - sum(
+                x[i][t] * y[t][j] for t in range(i + 1, j + 1))
+            y[i][j], r = divmod(s, x[i][i])
+            if r:
+                return None
+    return y
 
-    That holds iff p**nu1 (x**-1 p**nu)**-1 = p**(nu1 - nu) x lies in
-    K p**(nu1 - b) K; the matrix is integral, so snf_type reads its type.
-    """
-    target = tuple(nu[0] - x for x in reversed(b))
+
+def _product_count(cosets, b, nu, p):
+    """#{x in cosets : x**-1 p**nu in K p**b K}.  As b >= 0 that needs
+    y = x**-1 p**nu integral (p**nu Z_p**n inside x Z_p**n), tested by back
+    substitution; only then is the Smith type of y, of determinant +/-
+    p**|b|, compared with b."""
+    pnu = [p ** v for v in nu]
+    k = sum(b)
     count = 0
     for x in cosets:
-        m = tuple(tuple(p ** (nu[0] - v) * e for e in row)
-                  for v, row in zip(nu, x.rep))
-        count += snf_type(m, p) == target
+        y = _back_substitute(x.rep, pnu)
+        count += y is not None and snf_core(y, p, k) == b
     return count
 
 

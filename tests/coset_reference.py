@@ -1,5 +1,6 @@
 """Test references: left-coset expansion of the spherical Hecke algebra of
-GL_n(Q_p), and elementary divisors from determinantal divisors.
+GL_n(Q_p), elementary divisors from determinantal divisors, and double
+coset sizes from q-factorials at q = 1/p.
 
 Both are independent of the algorithms in :mod:`heckesat.padic` and
 :mod:`heckesat.intmat`.  A left-coset sum is a dict {PCoset: Fraction}
@@ -9,9 +10,10 @@ Hermite representatives), read the diagonal off onto the torus, and
 twist the coefficient at exponent chi by v**<delta, chi>.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 
 from heckesat.intmat import det, mat_mul, p_valuation
 from heckesat.laurent import Laurent
@@ -88,3 +90,20 @@ def snf_type_by_minors(m, p):
         vals.append(vk - prev)
         prev = vk
     return tuple(sorted(vals, reverse=True))
+
+
+def _q_factorial(k, q):
+    return prod(sum(q ** j for j in range(i)) for i in range(1, k + 1))
+
+
+def coset_count_by_q_factorials(lam, p):
+    """Left cosets in K p**lam K: p**<2 rho, lam> * [n]!_{1/p} divided by
+    prod_j [m_j]!_{1/p}, m_j the multiplicities of lam's parts, in
+    Fractions at q = 1/p."""
+    q = Fraction(1, p)
+    count = p ** sum(d * x for d, x in zip(gl_delta(len(lam)), lam))
+    count *= _q_factorial(len(lam), q)
+    for m in Counter(lam).values():
+        count /= _q_factorial(m, q)
+    assert count.denominator == 1
+    return count.numerator

@@ -439,6 +439,16 @@ def test_convolve_with_central_part_golden_output(capsys, argv, expected):
         (0, expected, "")
 
 
+def test_convolve_gl4_golden_output(capsys):
+    # the coset counts of a GL(4) product, byte for byte
+    assert run(capsys, "--format", "json", "convolve", "--n", "4", "--p", "3",
+               "--types", "2,1,0,0", "2,1,0,0") == (0, (
+        '{"n": 4, "p": 3, "product": {"2,2,1,1": [432, 1], '
+        '"2,2,2,0": [156, 1], "3,1,1,1": [104, 1], "3,2,1,0": [20, 1], '
+        '"3,3,0,0": [4, 1], "4,1,1,0": [4, 1], "4,2,0,0": [1, 1]}, '
+        '"types": [[2, 1, 0, 0], [2, 1, 0, 0]]}\n'), "")
+
+
 def test_verify_golden_output(capsys):
     # the correspondence and Frobenius suites, byte for byte
     for argv, expected in (

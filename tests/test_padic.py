@@ -7,9 +7,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckesat import padic as pd
+from heckesat import intmat, padic as pd
 from heckesat.conventions import reflect
-from heckesat.intmat import mat_mul
+from heckesat.intmat import (
+    hnf_core,
+    hnf_padic,
+    inverse_rational,
+    mat_mul,
+    snf_core,
+    snf_type,
+)
 from heckesat.laurent import Laurent
 from heckesat.padic import (
     CosetError,
@@ -28,9 +35,11 @@ from heckesat.rootdata import build_group
 
 from coset_reference import (
     convolve_left,
+    coset_count_by_q_factorials,
     expand,
     satake_by_expansion,
     sigma_to_torus,
+    snf_type_by_minors,
 )
 
 
@@ -91,6 +100,15 @@ def test_coset_count_hand_values(p):
     assert coset_count((3, 3, 3), p) == 1
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_coset_count_matches_q_factorial_reference(p):
+    # 251 types with n <= 5 and entries <= 4 at each prime
+    for n in range(1, 6):
+        for lam in types(n, 4):
+            assert coset_count(lam, p) == \
+                coset_count_by_q_factorials(lam, p), (lam, p)
+
+
 def test_decomposition_reps_are_canonical_and_distinct():
     reps = decompose_double_coset((2, 1), 2, 3)
     seen = set()
@@ -137,6 +155,33 @@ def test_from_matrix_is_the_homogeneous_hermite_form(data):
     assert g.rep == pd.hnf_padic(m, p)
     assert PCoset.from_matrix(_scaled(m, p ** c), p).rep == \
         _scaled(g.rep, p ** c)
+
+
+@pytest.mark.parametrize("rep", [
+    ((1, 5), (0, 3)),                # entry right of 1 not in [0, 1)
+    ((1, 0), (0, 0)),                # singular: 0 is no power of 3
+    ((1, 0), (1, 3)),                # not upper triangular
+    ((1, 0), (0, 6)),                # diagonal 6 is no power of 3
+    ((-1, 0), (0, 3)),               # negative diagonal
+    ((3, -1), (0, 1)),               # entry below 0
+    ((3, 3), (0, 1)),                # entry equal to its row's diagonal
+    ((1, 0), (0, 3.0)),              # not an int
+    ([1, 0], [0, 3]),                # rows not tuples
+    ((1, 0, 0), (0, 3, 0)),          # not square
+    ((1,),),                         # wrong size
+], ids=["entry-above-bound", "singular", "lower", "diag-not-p-power",
+        "diag-negative", "entry-negative", "entry-at-bound", "float",
+        "list-rows", "not-square", "wrong-size"])
+def test_pcoset_refuses_a_rep_that_is_not_a_hermite_form(rep):
+    with pytest.raises(CosetError):
+        PCoset(2, 3, rep)
+
+
+def test_pcoset_equality_is_coset_equality():
+    assert PCoset(2, 3, ((1, 0), (0, 3))) == \
+        PCoset.from_matrix(((1, 5), (0, 3)), 3)
+    rep = ((4, 2, 1), (0, 2, 1), (0, 0, 1))
+    assert PCoset(3, 2, rep).snf() == snf_type_by_minors(rep, 2) == (2, 1, 0)
 
 
 def test_type_validation():
@@ -232,6 +277,77 @@ def test_product_matches_hall_polynomials(n, hi, primes):
 def test_gl4_product_matches_hall_polynomials_property(a, b):
     h1, h2 = (DoubleCosetSum.basis(t, 4, 2) for t in (a, b))
     assert convolve_double(h1, h2).terms == hall.hall_product(a, b, 4, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_back_substitution_is_the_integral_inverse(data):
+    # None exactly when x**-1 p**nu has a non-integral entry, else that matrix
+    n = data.draw(st.integers(1, 4))
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    rows = []
+    for i in range(n):
+        d = p ** data.draw(st.integers(0, 2))
+        rows.append(tuple(d if j == i else data.draw(st.integers(0, d - 1))
+                          if j > i else 0 for j in range(n)))
+    x = PCoset(n, p, tuple(rows)).rep
+    nu = sorted(data.draw(st.lists(st.integers(0, 3), min_size=n,
+                                   max_size=n)), reverse=True)
+    expected = mat_mul(inverse_rational(x),
+                       [[p ** v * (i == j) for j, v in enumerate(nu)]
+                        for i in range(n)])
+    y = pd._back_substitute(x, [p ** v for v in nu])
+    if any(e.denominator != 1 for row in expected for e in row):
+        assert y is None
+    else:
+        assert tuple(map(tuple, y)) == expected
+
+
+@pytest.mark.parametrize("lam,p", [
+    ((1, 0, 0), 3), ((2, 0, 0), 2), ((2, 1, 0), 2), ((2, 1, 0), 3),
+    ((1, 1, 0), 3), ((1, 0, 0, 0), 2), ((2, 1, 0, 0), 2), ((1, 1, 0, 0), 3),
+])
+def test_cores_match_the_public_forms_on_every_coset(lam, p):
+    # k = |lam| is v_p(det) of every coset of the type and of any product
+    # with a unimodular matrix; the Smith core also matches the minors.
+    n, k = len(lam), sum(lam)
+    shear = tuple(tuple(int(i == j) + (i == j + 1) - 2 * (i == j + 2)
+                        for j in range(n)) for i in range(n))
+    for g in decompose_double_coset(lam, n, p):
+        assert snf_core(g.rep, p, k) == snf_type(g.rep, p) == \
+            snf_type_by_minors(g.rep, p) == g.snf() == lam
+        m = mat_mul(mat_mul(shear, g.rep), shear)
+        assert hnf_core(m, p, k) == hnf_padic(m, p)
+        assert snf_core(m, p, k) == snf_type(m, p) == lam
+
+
+def test_products_and_orbits_run_no_validation_and_filter_first(monkeypatch):
+    # the orbit, the product count and PCoset.snf take the valuation they
+    # know: no as_matrix and no determinant, and a Smith form only for a
+    # coset x with x**-1 p**nu integral
+    def forbidden(*args):
+        raise AssertionError("validation on a known valuation")
+    for name in ("as_matrix", "det"):
+        monkeypatch.setattr(intmat, name, forbidden)
+    smith = []
+    monkeypatch.setattr(pd, "snf_core",
+                        lambda y, p, k: smith.append(y) or snf_core(y, p, k))
+    pd._coset_orbit.cache_clear()
+    a, b, p = (2, 1, 0), (1, 1, 0), 3
+    cosets = decompose_double_coset(a, 3, p)
+    for nu in ((3, 2, 0), (3, 1, 1), (2, 2, 1), (4, 1, 0)):
+        smith.clear()
+        pnu = [[p ** v * (i == j) for j, v in enumerate(nu)]
+               for i in range(3)]
+        contained = [mat_mul(inverse_rational(x.rep), pnu) for x in cosets]
+        contained = [tuple(tuple(int(e) for e in row) for row in y)
+                     for y in contained
+                     if all(e.denominator == 1 for row in y for e in row)]
+        count = pd._product_count(cosets, b, nu, p)
+        assert [tuple(map(tuple, y)) for y in smith] == contained
+        assert count == sum(snf_type_by_minors(y, p) == b for y in contained)
+    assert all(g.snf() == a for g in cosets)
+    pd._coset_orbit.cache_clear()
 
 
 def test_convolve_double_rejects_mismatch():
