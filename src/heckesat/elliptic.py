@@ -4,14 +4,15 @@ Everything is exhaustive and exact.  F_{p^k} is a table-driven field
 (``FieldExt``): elements are ints, and multiplication, inversion, powers,
 Frobenius, square roots and addition are lookups in log/antilog/Zech
 tables built once per (p, k).  Point counts come from a full x-sweep
-that reads squares off the log table, the group law is the
-chord-tangent formula, and the Frobenius endomorphism is the coordinate
-p-power map.  The headline checks are
+worked on those tables, with squares read off the parity of the log;
+the group law is the chord-tangent formula, and the Frobenius
+endomorphism is the coordinate p-power map.  The headline checks are
 
 * count consistency: N_k = p^k + 1 - s_k with s_1 = a_p,
   s_k = a_p s_{k-1} - p s_{k-2};
-* pointwise annihilation: pi^2(P) - [a_p] pi(P) + [p] P = O on
-  E(F_{p^k});
+* pointwise annihilation: pi^2(P) - [a_p] pi(P) + [p] P = O for every
+  P in E(F_{p^k}), with [m] P read off the multiples of a generator of
+  each cyclic subgroup, walked once;
 * the bridge to the symbolic side: the specialized degree-2 Hecke
   polynomial equals t**2 - a_p t + p.
 """
@@ -227,6 +228,11 @@ def field_ext(p, k):
 # ---------------------------------------------------------------------------
 # curves and counting
 
+def _check_prime(p):
+    if p < 3 or not is_prime(p):
+        raise CurveError("p must be an odd prime >= 3")
+
+
 @dataclass(frozen=True)
 class EllipticCurve:
     p: int
@@ -234,8 +240,7 @@ class EllipticCurve:
     b: int
 
     def __post_init__(self):
-        if self.p < 3 or not is_prime(self.p):
-            raise CurveError("p must be an odd prime >= 3")
+        _check_prime(self.p)
         if (4 * self.a ** 3 + 27 * self.b ** 2) % self.p == 0:
             raise CurveError("singular curve: discriminant is zero")
 
@@ -250,28 +255,39 @@ class FrobeniusData:
 def _rhs_values(field, curve):
     """x^3 + a x + b for every x, in ``field.elements()`` order.
 
-    For x = x^e the terms x^3 = x^(3e) and a x = x^(log a + e) are read
-    off the exp table, so each x costs two additions.
+    Worked on the tables, with no field call per x: for x = x^e,
+    x^3 + a x = x^(3e) (1 + a x^(-2)) and s + b = s (1 + b / s), each
+    factor 1 + u read off the Zech table.
     """
     a, b = field.embed(curve.a), field.embed(curve.b)
-    exp, log, n, add = field._exp, field._log, field._n, field.add
-    la = log[a]
+    exp, log, zech, n = field._exp, field._log, field._zech, field._n
+    la, lb = log[a], log[b]
     out = [b]  # x = 0
-    for x in range(1, field.order):
-        e = log[x]
-        out.append(add(add(exp[3 * e % n], exp[la + e] if a else 0), b))
+    for e in log[1:]:
+        s = 3 * e % n  # log(x^3 + a x), or -1 where it is 0
+        if a:
+            z = zech[(la - 2 * e) % n]
+            s = (s + z) % n if z >= 0 else -1
+        if s < 0:
+            out.append(b)
+        elif b:
+            z = zech[(lb - s) % n]
+            out.append(exp[s + z] if z >= 0 else 0)
+        else:
+            out.append(exp[s])
     return out
 
 
 def count_points(curve: EllipticCurve, k=1) -> int:
     """#E(F_{p^k}) by exhaustive x-sweep: rhs 0 gives one point, a nonzero
-    square two."""
+    square two (p^k - 1 is even, so the squares have even log)."""
     field = field_ext(curve.p, k)
+    log = field._log
     total = 1  # the point at infinity
     for rhs in _rhs_values(field, curve):
         if not rhs:
             total += 1
-        elif field.sqrt(rhs) is not None:
+        elif not log[rhs] % 2:
             total += 2
     return total
 
@@ -330,23 +346,14 @@ def add_points(field, curve, P, Q):
     return (x3, y3)
 
 
-def negate_point(field, P):
-    if P is None:
-        return None
-    return (P[0], field.neg(P[1]))
-
-
-def scalar_mult(field, curve, m, P):
-    if m < 0:
-        return scalar_mult(field, curve, -m, negate_point(field, P))
-    out = None
-    while m:
-        if m & 1:
-            out = add_points(field, curve, out, P)
-        m >>= 1
-        if m:  # no doubling after the last bit
-            P = add_points(field, curve, P, P)
-    return out
+def multiples(field, curve, R):
+    """[None, R, 2R, ..., (n - 1)R], n the order of R, by addition."""
+    table = [None]
+    P = R
+    while P is not None:
+        table.append(P)
+        P = add_points(field, curve, P, R)
+    return table
 
 
 def enumerate_points(field, curve):
@@ -361,21 +368,34 @@ def enumerate_points(field, curve):
 
 def verify_frobenius_annihilation(curve: EllipticCurve, k=2,
                                   a_p=None) -> bool:
-    """pi^2(P) - [a_p] pi(P) + [p] P = O for every P in E(F_{p^k})."""
+    """pi^2(P) - [a_p] pi(P) + [p] P = O for every P in E(F_{p^k}).
+
+    The multiples of each point R not yet covered are walked once; every
+    uncovered P = jR reads [p] P and [-a_p] P off that table and costs two
+    additions, pi^2(P) + pi([-a_p] P) + [p] P (pi commutes with [m], as
+    the curve is defined over F_p).
+    """
     field = field_ext(curve.p, k)
     if a_p is None:
         a_p = frobenius_data(curve, 1).a_p
-    for P in enumerate_points(field, curve):
-        if P is None:
+    frob = [field.frob(c) for c in field.elements()]
+    covered = {None}
+    for R in enumerate_points(field, curve):
+        if R in covered:
             continue
-        piP = (field.frob(P[0]), field.frob(P[1]))
-        pi2P = (field.frob(piP[0]), field.frob(piP[1]))
-        total = add_points(field, curve, pi2P,
-                           scalar_mult(field, curve, -a_p, piP))
-        total = add_points(field, curve, total,
-                           scalar_mult(field, curve, curve.p, P))
-        if total is not None:
-            return False
+        table = multiples(field, curve, R)
+        n = len(table)
+        for j, P in enumerate(table):
+            if P in covered:
+                continue
+            covered.add(P)
+            Q = table[-a_p * j % n]
+            total = add_points(field, curve,
+                               (frob[frob[P[0]]], frob[frob[P[1]]]),
+                               Q and (frob[Q[0]], frob[Q[1]]))
+            if add_points(field, curve, total,
+                          table[curve.p * j % n]) is not None:
+                return False
     return True
 
 
@@ -407,39 +427,13 @@ def export_point_set(curve: EllipticCurve, k=1) -> FinitePointSet:
     field = field_ext(curve.p, k)
     pts = enumerate_points(field, curve)
     index = {P: i for i, P in enumerate(pts)}
-    perm = []
-    for P in pts:
-        if P is None:
-            perm.append(index[None])
-        else:
-            perm.append(index[(field.frob(P[0]), field.frob(P[1]))])
-    return FinitePointSet(len(pts), tuple(perm), curve.p, k)
+    perm = tuple(index[P and (field.frob(P[0]), field.frob(P[1]))]
+                 for P in pts)
+    return FinitePointSet(len(pts), perm, curve.p, k)
 
 
 def all_curves(p):
     """Every nonsingular short Weierstrass curve over F_p."""
-    out = []
-    for a in range(p):
-        for b in range(p):
-            if (4 * a ** 3 + 27 * b ** 2) % p:
-                out.append(EllipticCurve(p, a, b))
-    return out
-
-
-def curve_report(curve: EllipticCurve, k_max=2):
-    data = frobenius_data(curve, k_max)
-    ok_counts = verify_count_consistency(curve, k_max)
-    ok_frob = verify_frobenius_annihilation(curve, 2)
-    ok_link, coeffs = satake_link(curve)
-    return {
-        "p": curve.p,
-        "a": curve.a,
-        "b": curve.b,
-        "a_p": data.a_p,
-        "ordinary": data.ordinary,
-        "counts": list(data.counts),
-        "count_consistency": ok_counts,
-        "frobenius_annihilation": ok_frob,
-        "satake_link": ok_link,
-        "hecke_polynomial": [str(c) for c in coeffs],
-    }
+    _check_prime(p)
+    return [EllipticCurve(p, a, b) for a in range(p) for b in range(p)
+            if (4 * a ** 3 + 27 * b ** 2) % p]

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import heckesat
 from heckesat.cli import main
 
 
@@ -143,6 +148,26 @@ def test_suite_with_zero_checks_fails(capsys):
         assert code == 1, argv
         assert json.loads(out) == {"checks": {}, "passed": False,
                                    "suite": argv[1]}
+
+
+@pytest.mark.parametrize("p", ["1", "0", "-5", "2", "4", "9"])
+def test_frobdemo_p_not_an_odd_prime_is_usage_error(capsys, p):
+    for extra in ([], ["--exhaustive"]):
+        assert run(capsys, "verify", "frobdemo", "--p", p, *extra) == (
+            2, "", "error: p must be an odd prime >= 3\n"), extra
+
+
+@pytest.mark.parametrize("argv", [
+    ["--format", "json", "verify", "frobdemo", "--p", "5", "--exhaustive"],
+    ["verify", "frobdemo", "--p", "1"],
+], ids=["pass", "usage"])
+def test_python_dash_m_matches_main(capsys, argv):
+    path = [str(Path(heckesat.__file__).parents[1]),
+            os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-m", "heckesat", *argv],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
 
 
 @pytest.mark.parametrize("argv", [

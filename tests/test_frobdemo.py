@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -17,7 +18,6 @@ from heckesat.elliptic import (
     FieldExt,
     all_curves,
     count_points,
-    curve_report,
     export_point_set,
     frobenius_data,
     satake_link,
@@ -107,6 +107,42 @@ def test_a_p_outside_hasse_bound_raises(monkeypatch, check):
         check(EllipticCurve(5, 1, 1))
 
 
+def _negate_point(field, P):
+    return None if P is None else (P[0], field.neg(P[1]))
+
+
+def _scalar_mult(field, curve, m, P):
+    """[m] P by double-and-add."""
+    if m < 0:
+        return _scalar_mult(field, curve, -m, _negate_point(field, P))
+    out = None
+    while m:
+        if m & 1:
+            out = el.add_points(field, curve, out, P)
+        m >>= 1
+        if m:  # no doubling after the last bit
+            P = el.add_points(field, curve, P, P)
+    return out
+
+
+def _annihilates_pointwise(curve, k, a_p):
+    """pi^2(P) - [a_p] pi(P) + [p] P = O checked point by point, each
+    multiple by double-and-add: the reference for the table walk."""
+    field = el.field_ext(curve.p, k)
+    for P in el.enumerate_points(field, curve):
+        if P is None:
+            continue
+        piP = (field.frob(P[0]), field.frob(P[1]))
+        pi2P = (field.frob(piP[0]), field.frob(piP[1]))
+        total = el.add_points(field, curve, pi2P,
+                              _scalar_mult(field, curve, -a_p, piP))
+        total = el.add_points(field, curve, total,
+                              _scalar_mult(field, curve, curve.p, P))
+        if total is not None:
+            return False
+    return True
+
+
 def test_group_law_sanity():
     curve = EllipticCurve(5, 1, 1)
     field = FieldExt(5, 1)
@@ -114,7 +150,7 @@ def test_group_law_sanity():
     assert len(pts) == 9
     # N * P = O for every point, N the group order
     for P in pts:
-        assert el.scalar_mult(field, curve, 9, P) is None
+        assert _scalar_mult(field, curve, 9, P) is None
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -124,11 +160,81 @@ def test_scalar_mult_is_repeated_addition(k):
     pts = el.enumerate_points(field, curve)
     bound = 2 * len(pts)
     for P in pts:
-        for sign, Q in ((1, P), (-1, el.negate_point(field, P))):
+        for sign, Q in ((1, P), (-1, _negate_point(field, P))):
             total = None  # m * P by m - 1 additions, for m = 0, ..., bound
             for m in range(bound + 1):
-                assert el.scalar_mult(field, curve, sign * m, P) == total
+                assert _scalar_mult(field, curve, sign * m, P) == total
                 total = el.add_points(field, curve, total, Q)
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (5, 2), (7, 1), (7, 2)])
+def test_multiples_match_double_and_add(p, k):
+    field = el.field_ext(p, k)
+    for curve in all_curves(p):
+        pts = el.enumerate_points(field, curve)
+        for R in pts:
+            table = el.multiples(field, curve, R)
+            assert len(pts) % len(table) == 0
+            assert None not in table[1:]
+            for j, P in enumerate(table):
+                assert P == _scalar_mult(field, curve, j, R)
+            assert _scalar_mult(field, curve, len(table), R) is None
+
+
+@pytest.mark.parametrize("p,k", [(p, k) for p in (3, 5, 7) for k in (1, 2)])
+def test_annihilation_matches_pointwise_check(p, k):
+    bound = math.isqrt(4 * p)
+    for curve in all_curves(p):
+        for a_p in range(-bound, bound + 1):
+            assert (verify_frobenius_annihilation(curve, k, a_p)
+                    == _annihilates_pointwise(curve, k, a_p)), (curve, a_p)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_annihilation_walks_each_cyclic_subgroup_once(monkeypatch, p):
+    add_points, multiples = el.add_points, el.multiples
+    calls, tables = [0], []
+
+    def counting_add(*args):
+        calls[0] += 1
+        return add_points(*args)
+
+    def recording_multiples(field, curve, R):
+        tables.append(multiples(field, curve, R))
+        return tables[-1]
+
+    monkeypatch.setattr(el, "add_points", counting_add)
+    monkeypatch.setattr(el, "multiples", recording_multiples)
+    field = el.field_ext(p, 2)
+    for curve in all_curves(p):
+        pts = el.enumerate_points(field, curve)
+        calls[0], tables[:] = 0, []
+        assert verify_frobenius_annihilation(curve, 2)
+        covered = {None}
+        for table in tables:
+            assert table[1] not in covered  # each walk starts uncovered
+            covered.update(table)
+        assert covered == set(pts)
+        # the walks, then two additions for each point other than O
+        walks = sum(len(table) - 1 for table in tables)
+        assert calls[0] == walks + 2 * (len(pts) - 1)
+
+
+@pytest.mark.parametrize("p,k", [(p, k) for p in (5, 7) for k in (1, 2, 3)])
+def test_rhs_sweep_with_a_or_b_zero(p, k):
+    f = el.field_ext(p, k)
+    roots = {}
+    for y in f.elements():
+        roots.setdefault(f.mul(y, y), []).append(y)
+    curves = [c for c in all_curves(p) if c.a == 0 or c.b == 0]
+    assert {c.a == 0 for c in curves} == {True, False}
+    for curve in curves:
+        a, b = f.embed(curve.a), f.embed(curve.b)
+        pts = [(x, y) for x in f.elements()
+               for y in roots.get(f.add(f.mul(f.mul(x, x), x),
+                                        f.add(f.mul(a, x), b)), [])]
+        assert el.enumerate_points(f, curve) == [None] + pts
+        assert count_points(curve, k) == len(pts) + 1
 
 
 def test_satake_link():
@@ -174,14 +280,6 @@ def test_sampled_larger_primes():
         for curve in rng.sample(all_curves(p), 5):
             assert verify_count_consistency(curve, 3)
             assert verify_frobenius_annihilation(curve, 2)
-
-
-def test_curve_report():
-    report = curve_report(EllipticCurve(5, 1, 1), 2)
-    assert report["a_p"] == -3
-    assert report["counts"] == [9, 27]
-    assert report["count_consistency"] and report["frobenius_annihilation"]
-    assert report["satake_link"]
 
 
 # ---------------------------------------------------------------------------
