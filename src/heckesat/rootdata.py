@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .intmat import identity, int_tuple
 
@@ -180,9 +180,15 @@ def build_group(name) -> RootDatum:
     """Construct the root datum of a named split group.
 
     Accepted spellings: ``GL(4)``, ``GL4``, ``GSp(6)``, ``GSO(8)``,
-    ``GSpin(7)`` and case variants.
+    ``GSpin(7)`` and case variants.  Each (family, size) is built and
+    validated once and then shared for the life of the process, which a
+    frozen datum allows; a bad name or size raises on every call.
     """
-    fam, size = parse_group_name(name)
+    return _build(*parse_group_name(name))
+
+
+@cache
+def _build(fam, size):
     if fam == "GL":
         return _build_gl(size)
     if fam == "SL":

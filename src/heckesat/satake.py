@@ -18,6 +18,17 @@ the orbit exponentials.  Its t**k coefficient is (-1)**(m-k) v**(d(m-k))
 times the elementary symmetric function e_{m-k} of the m orbit exponentials,
 so the integer maps e_0, ..., e_m are all a polynomial stores; the exact
 Laurent coefficients are built only when asked for.
+
+The maps are expanded on Kronecker keys: at digit width s the exponent nu
+becomes the int <w, nu>, w = (1, 2**s, 2**(2s), ...), read as balanced
+base-2**s digits.  Keys add as exponents do and are distinct on vectors
+with every |x| < 2**(s-1), so cancellation among keys is cancellation in
+Z[X_*].  Every exponent of e_j is a sum of at most m orbit vectors, so
+|x| <= B = m * max|orbit coordinate|; ``hecke_polynomial`` packs at the
+least s with 2**(s-1) > 2B, which ``evaluate_vanishing`` needs at an orbit
+element.  At any lam the evaluation needs B + m |lam|_inf, and re-packs
+the maps once at that wider width when the keys are narrower.  Tuple
+exponents are decoded only for ``elementary`` and for the residual.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul
 
 from .intmat import int_tuple
 from .laurent import Laurent
@@ -163,19 +174,98 @@ def is_weyl_invariant(gens, terms) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+def _width(bound):
+    """The least digit width s with 2**(s-1) > bound."""
+    return bound.bit_length() + 1
+
+
+def _weights(width, rank):
+    """(1, 2**s, 2**(2s), ...): the key of nu is the dot product with them."""
+    return [1 << (width * i) for i in range(rank)]
+
+
+def _key(nu, weights):
+    return sum(map(mul, nu, weights))
+
+
+def _decode(keys, width, rank):
+    """The exponent tuples of ``keys``, in order: the inverse of ``_key`` on
+    vectors with every |x| < 2**(width-1).
+
+    Adding the key of (h, ..., h), h = 2**(width-1), makes every balanced
+    digit x + h lie in [0, 2**width), so plain shifts and masks read it;
+    each coordinate is read for all keys at once.
+    """
+    half = 1 << (width - 1)
+    offset = _key((half,) * rank, _weights(width, rank))
+    mask = (1 << width) - 1
+    keys = [key + offset for key in keys]
+    return zip(*[[((key >> s) & mask) - half for key in keys]
+                 for s in range(0, width * rank, width)])
+
+
 class HeckePolynomialSatake:
     """A polynomial sum_k (-1)**(m-k) v**(d(m-k)) e_{m-k} t**k, m = degree.
 
     ``elementary[j]`` is e_j as an {exponent tuple: nonzero int} map,
     j = 0..degree; for a Hecke polynomial e_0 = 1 and e_j is the j-th
     elementary symmetric function of the orbit exponentials.
+    ``hecke_polynomial`` builds the maps on Kronecker keys alone; reading
+    ``elementary`` decodes them once and drops the keys, and the next
+    evaluation packs the tuple maps again.
     """
-    mu: tuple
-    d: int
-    degree: int
-    elementary: tuple  # {exponent: int} maps e_0..e_degree
-    rank: int
+
+    __slots__ = ("mu", "d", "degree", "rank", "_elementary", "_packed")
+
+    def __init__(self, mu, d, degree, elementary, rank):
+        self.mu, self.d, self.degree, self.rank = mu, d, degree, rank
+        self._elementary = tuple(elementary)
+        self._packed = None  # (width, bound, keyed maps)
+
+    @classmethod
+    def _from_keys(cls, mu, d, degree, rank, width, bound, maps):
+        """Wrap keyed maps whose exponents have every |x| <= bound."""
+        H = cls.__new__(cls)
+        H.mu, H.d, H.degree, H.rank = mu, d, degree, rank
+        H._elementary = None
+        H._packed = (width, bound, maps)
+        return H
+
+    @property
+    def elementary(self):
+        if self._elementary is None:
+            width, _, maps = self._packed
+            self._elementary = tuple(
+                dict(zip(_decode(e, width, self.rank), e.values()))
+                for e in maps)
+            self._packed = None  # evaluation re-packs from the tuple maps
+        return self._elementary
+
+    def _keyed(self, reach):
+        """(width, keyed maps) at a width that holds every stored exponent
+        moved by up to ``reach`` in each coordinate; the maps are packed
+        again, once, when there are none yet or their width is narrower."""
+        if self._packed is None:
+            width = 0
+            bound = max((abs(x) for e in self._elementary for nu in e
+                         for x in nu), default=0)
+        else:
+            width, bound, maps = self._packed
+        need = _width(bound + reach)
+        if need > width:
+            weights = _weights(need, self.rank)
+            maps = tuple({_key(nu, weights): c for nu, c in e.items()}
+                         for e in self.elementary)
+            width = need
+            self._packed = (width, bound, maps)
+        return width, maps
+
+    def __eq__(self, other):
+        if not isinstance(other, HeckePolynomialSatake):
+            return NotImplemented
+        return ((self.mu, self.d, self.degree, self.rank, self.elementary)
+                == (other.mu, other.d, other.degree, other.rank,
+                    other.elementary))
 
     @property
     def coefficients(self):
@@ -215,26 +305,34 @@ def hecke_polynomial(rd: RootDatum, mu) -> HeckePolynomialSatake:
     d = rd.pairing(rd.delta(), mu)
     m = len(orb)
     h = m // 2
+    # exponents are sums of at most m orbit vectors; evaluate_vanishing at
+    # an orbit element reaches 2 * bound
+    bound = m * max(abs(x) for lam in orb for x in lam)
+    width = _width(2 * bound)
+    weights = _weights(width, rd.rank)
+    keys = [_key(lam, weights) for lam in orb]
     # e_j for j < m - j counts twice; e_h, when m = 2h, is its own mirror
     weight = [2] * h + [2 if m % 2 else 1]
-    e = [{(0,) * rd.rank: 1}] + [{} for _ in range(h)]
+    e = [{0: 1}] + [{} for _ in range(h)]
     total = weight[0]
-    for j, lam in enumerate(orb, 1):
+    for j, lam in enumerate(keys, 1):
         for i in range(min(j, h), 0, -1):
             upper = e[i]
             size = len(upper)
+            get = upper.get
             for key, c in e[i - 1].items():
-                key = tuple(map(add, key, lam))
-                upper[key] = upper.get(key, 0) + c
+                key += lam
+                upper[key] = get(key, 0) + c
             total += weight[i] * (len(upper) - size)
             if total > TERM_BOUND:
                 raise TermBoundError(
                     f"the Hecke polynomial of {rd.name} at {mu} needs more "
                     f"than the bound of {TERM_BOUND} e_j terms")
-    sigma = tuple(map(sum, zip(*orb)))
-    e += [{tuple(map(sub, sigma, nu)): c for nu, c in e[m - j].items()}
+    sigma = sum(keys)
+    e += [{sigma - key: c for key, c in e[m - j].items()}
           for j in range(h + 1, m + 1)]
-    return HeckePolynomialSatake(mu, d, m, tuple(e), rd.rank)
+    return HeckePolynomialSatake._from_keys(mu, d, m, rd.rank, width, bound,
+                                            tuple(e))
 
 
 def evaluate_vanishing(H: HeckePolynomialSatake,
@@ -242,25 +340,30 @@ def evaluate_vanishing(H: HeckePolynomialSatake,
     """Substitute t := v**d e^lam (default lam = mu); contract: zero.
 
     Every term of H(v**d e^lam) = v**(dm) sum_k (-1)**(m-k) e_{m-k} e^(k lam)
-    carries v**(dm), so the sum runs on one {exponent: int} map that drops
-    each entry the moment it cancels; nothing is left when H vanishes at lam.
+    carries v**(dm), so the sum runs on one {key: int} map that drops each
+    entry the moment it cancels; nothing is left when H vanishes at lam.
+    Each exponent is a stored one plus k lam, k <= m, so the keys are taken
+    at a width that holds m |lam|_inf more; only the residual is decoded.
     """
     lam = int_tuple(H.mu if lam is None else lam, H.rank,
                     "rank-length exponent", SatakeError)
     m = H.degree
+    width, maps = H._keyed(m * max(map(abs, lam), default=0))
+    step = _key(lam, _weights(width, H.rank))
     acc = {}
-    for k, ej in enumerate(reversed(H.elementary)):
+    for k, ej in enumerate(reversed(maps)):
         sign = (-1) ** (m - k)
-        shift = tuple(k * x for x in lam)
-        for nu, c in ej.items():
-            nu = tuple(map(add, nu, shift))
-            a = acc.get(nu, 0) + sign * c
+        shift = k * step
+        for key, c in ej.items():
+            key += shift
+            a = acc.get(key, 0) + sign * c
             if a:
-                acc[nu] = a
+                acc[key] = a
             else:
-                del acc[nu]
-    return GroupAlgebraElement._trusted(
-        H.rank, {nu: Laurent.v_power(H.d * m, a) for nu, a in acc.items()})
+                del acc[key]
+    return GroupAlgebraElement._trusted(H.rank, {
+        nu: Laurent.v_power(H.d * m, a)
+        for nu, a in zip(_decode(acc, width, H.rank), acc.values())})
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +438,10 @@ def polynomial_from_dict(data) -> HeckePolynomialSatake:
     """Parse the form of ``polynomial_to_dict``; SatakeError on any other."""
     rank, d, m = int_tuple((data["rank"], data["d"], data["degree"]), 3,
                            "rank, d and degree", SatakeError)
+    if m < 0:
+        raise SatakeError(f"degree {m} is negative")
+    if rank < 1:
+        raise SatakeError(f"rank {rank} is not positive")
     coeffs = data["coefficients"]
     if len(coeffs) != m + 1:
         raise SatakeError(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -448,6 +449,20 @@ def test_hecke_poly_golden_output(capsys):
           "--mu", "half-spin"], GSO8_HALF_SPIN_JSON),
     ):
         assert run(capsys, *argv) == (0, expected, ""), argv
+
+
+@pytest.mark.parametrize("group, mu, digest", [
+    ("GSO(10)", "half-spin",
+     "586a79fafd553eb4c06e0c51953e3426cd7aa0a5f1bc1a61259f040cb165786c"),
+    ("GSp(8)", "siegel",
+     "fef8ecb88d23e4b242613cbd24ade988c74c89cb1bc2b5b56ae707c2ec645ea1"),
+], ids=["gso10-half-spin", "gsp8-siegel"])
+def test_hecke_poly_large_golden_digest(capsys, group, mu, digest):
+    # 16 orbit points each; the JSON is pinned by its sha256
+    code, out, err = run(capsys, "--format", "json", "hecke-poly",
+                         "--group", group, "--mu", mu)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv,expected", [

@@ -87,6 +87,17 @@ def test_name_parsing_variants():
         build_group("GSp(5)")
 
 
+def test_build_group_shares_one_validated_datum():
+    # every spelling of one (family, size) returns the datum built first
+    rd = build_group("gsp6")
+    assert build_group("GSp(6)") is rd and build_group("GSp 6") is rd
+    assert rdm.validate(rd) is rd and rd.name == "GSp(6)"
+    for bad, match in (("GSp(5)", "even"), ("GL(0)", ">= 1")):
+        for _ in range(2):  # a refused size is not cached
+            with pytest.raises(RootDatumError, match=match):
+                build_group(bad)
+
+
 def test_delta_values():
     assert build_group("GL(2)").delta() == (1, -1)
     assert build_group("GL(4)").delta() == (3, 1, -1, -3)

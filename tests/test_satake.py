@@ -1,9 +1,10 @@
+import itertools
 import json
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from operator import mul
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -277,9 +278,15 @@ def _spoiled(edit):
     (_spoiled(lambda d: d.update(mu=[1.5, 0])),
      "mu \\(1.5, 0\\) is not 2 ints"),
     (_spoiled(lambda d: d.update(rank="2")), "is not 3 ints"),
+    # no polynomial has these shapes; one loaded would "vanish" everywhere
+    (_spoiled(lambda d: d.update(degree=-1, rank=0, mu=[], coefficients=[])),
+     "degree -1 is negative"),
+    (_spoiled(lambda d: d.update(degree=-1, coefficients=[])),
+     "degree -1 is negative"),
+    (_spoiled(lambda d: d.update(rank=0, mu=[])), "rank 0 is not positive"),
 ], ids=["too-few", "too-many", "rank", "repeated", "two-powers",
         "wrong-power", "fraction", "zero", "float-exponent", "float-mu",
-        "string-rank"])
+        "string-rank", "empty", "negative-degree", "zero-rank"])
 def test_polynomial_loader_rejects(data, match):
     with pytest.raises(SatakeError, match=match):
         sk.polynomial_from_dict(data)
@@ -359,7 +366,10 @@ def test_hecke_polynomial_matches_repeated_multiplication(name, mu):
 
 FUNCTIONAL_EQUATION_CASES = _dominant_minuscule_cases(
     ("GL(2)", "GL(3)", "GL(4)", "GL(5)", "GSp(4)", "GSp(6)", "GSp(8)",
-     "GSO(8)", "GSO(10)", "GSpin(7)", "GSpin(9)"))
+     "GSO(8)", "GSO(10)", "GSpin(7)", "GSpin(9)")) + [
+    # a large central part: e_3 = e^(43, 43, 43) is out of reach of a key
+    # width fitted to the orbit box alone (|x| <= 2 * 15)
+    ("GL(3)", (15, 14, 14))]
 
 
 @pytest.mark.parametrize("name, mu", FUNCTIONAL_EQUATION_CASES,
@@ -377,6 +387,38 @@ def test_every_elementary_function_matches_the_full_expansion(name, mu):
                        else (0,) * rd.rank
                        for subset in combinations(sorted(orb), j))
         assert ej == full, f"e_{j}"
+
+
+def test_evaluation_far_outside_the_orbit_box_widens_the_keys():
+    # GSp(8) siegel (16 orbit points, coordinates 0/1) is packed for
+    # exponents up to 2 * 16; at lam = (40, -40, 0, 0, 0) they reach
+    # 16 + 16 * 40, so the keys must be re-packed at a wider width
+    rd = build_group("GSp(8)")
+    mu = named_cocharacter(rd, "siegel")
+    H = hecke_polynomial(rd, mu)
+    assert evaluate_vanishing(H).is_zero()
+    for lam in ((40, -40, 0, 0, 0), (0, 0, 0, 0, -300), mu):
+        got = evaluate_vanishing(H, lam)
+        assert got == _substitute(H, lam) and got.is_zero() == (lam == mu)
+    assert all(evaluate_vanishing(H, lam).is_zero()
+               for lam in orbit(simple_reflections(rd), mu))
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 4, 7, 8, 63, 64, 1000])
+def test_kronecker_keys_decode_at_the_bound(bound):
+    # the width of a bound holds every vector with coordinates in
+    # [-bound, bound], the extreme ones included, and keys add as vectors
+    width = sk._width(bound)
+    weights = sk._weights(width, 3)
+    corners = sorted(set(itertools.product((-bound, 0, bound), repeat=3)))
+    keys = [sk._key(nu, weights) for nu in corners]
+    assert len(set(keys)) == len(corners)
+    assert list(sk._decode(keys, width, 3)) == corners
+    sums = {tuple(map(add, nu, lam)): a + b
+            for nu, a in zip(corners, keys) for lam, b in zip(corners, keys)}
+    fit = {total: key for total, key in sums.items()
+           if max(map(abs, total)) <= bound}
+    assert list(sk._decode(fit.values(), width, 3)) == list(fit)
 
 
 @pytest.mark.parametrize("name, mu, m", [("GL(3)", (1, 0, 0), 3),
