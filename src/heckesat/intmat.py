@@ -21,7 +21,10 @@ class NormalFormError(ValueError):
 
 def int_tuple(xs, size, what, error):
     """xs as a tuple; raises error unless it is exactly size ints."""
-    xs = tuple(xs)
+    try:
+        xs = tuple(xs)
+    except TypeError:
+        raise error(f"{what} {xs!r} is not {size} ints") from None
     if len(xs) != size or not all(isinstance(x, int) for x in xs):
         raise error(f"{what} {xs} is not {size} ints")
     return xs

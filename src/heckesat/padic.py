@@ -39,7 +39,7 @@ from .laurent import Laurent
 from .rootdata import build_group, simple_reflections
 from .satake import GroupAlgebraElement, is_weyl_invariant
 
-ENUM_BOUND = 10 ** 7  # most left cosets one double coset may enumerate
+ENUM_BOUND = 2 * 10 ** 5  # most left cosets one double coset may enumerate
 
 
 class CosetError(ValueError):
@@ -102,18 +102,18 @@ class DoubleCosetSum:
     def __init__(self, n, p, terms=None):
         self.n, self.p = int_tuple((n, p), 2, "size and prime", CosetError)
         check_size_prime(self.n, self.p)
-        d = {}
-        if terms:
-            for lam, c in terms.items():
-                lam = _check_type(lam, self.n)
-                c = Fraction(c)
-                if c:
-                    d[lam] = d.get(lam, Fraction(0)) + c
-        self.terms = {k: v for k, v in d.items() if v}
+        self.terms = {}
+        for lam, c in (terms or {}).items():
+            lam = _check_type(lam, self.n)
+            if not isinstance(c, (int, Fraction)):
+                raise CosetError(f"coefficient {c!r} of type {lam} is not "
+                                 f"an int or a Fraction")
+            if c:
+                self.terms[lam] = Fraction(c)
 
     @classmethod
     def basis(cls, lam, n, p, coeff=1):
-        return cls(n, p, {tuple(lam): Fraction(coeff)})
+        return cls(n, p, {tuple(lam): coeff})
 
     @classmethod
     def unit(cls, n, p):
@@ -358,10 +358,20 @@ def double_coset_sum_to_dict(h: DoubleCosetSum):
 
 
 def double_coset_sum_from_dict(d) -> DoubleCosetSum:
-    return DoubleCosetSum(
-        d["n"], d["p"],
-        {tuple(t["type"]): Fraction(*t["coeff"])
-         for t in d["terms"]})
+    """Parse the form of ``double_coset_sum_to_dict``: each coefficient is
+    [int, nonzero int] under a distinct type; CosetError otherwise."""
+    n, p = int_tuple((d["n"], d["p"]), 2, "size and prime", CosetError)
+    check_size_prime(n, p)
+    terms = {}
+    for t in d["terms"]:
+        lam = _check_type(t["type"], n)
+        num, den = int_tuple(t["coeff"], 2, f"coefficient of type {lam}",
+                             CosetError)
+        if not den or lam in terms:
+            raise CosetError(f"type {lam} is repeated or its coefficient "
+                             f"{num}/{den} has denominator 0")
+        terms[lam] = Fraction(num, den)
+    return DoubleCosetSum(n, p, terms)
 
 
 def double_coset_sum_to_json(h) -> str:

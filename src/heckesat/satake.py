@@ -19,16 +19,11 @@ times the elementary symmetric function e_{m-k} of the m orbit exponentials,
 so the integer maps e_0, ..., e_m are all a polynomial stores; the exact
 Laurent coefficients are built only when asked for.
 
-The maps are expanded on Kronecker keys: at digit width s the exponent nu
+The maps are kept on Kronecker keys: at digit width s the exponent nu
 becomes the int <w, nu>, w = (1, 2**s, 2**(2s), ...), read as balanced
 base-2**s digits.  Keys add as exponents do and are distinct on vectors
 with every |x| < 2**(s-1), so cancellation among keys is cancellation in
-Z[X_*].  Every exponent of e_j is a sum of at most m orbit vectors, so
-|x| <= B = m * max|orbit coordinate|; ``hecke_polynomial`` packs at the
-least s with 2**(s-1) > 2B, which ``evaluate_vanishing`` needs at an orbit
-element.  At any lam the evaluation needs B + m |lam|_inf, and re-packs
-the maps once at that wider width when the keys are narrower.  Tuple
-exponents are decoded only for ``elementary`` and for the residual.
+Z[X_*].  Tuple exponents are decoded only where they are read.
 """
 
 from __future__ import annotations
@@ -204,61 +199,39 @@ def _decode(keys, width, rank):
                  for s in range(0, width * rank, width)])
 
 
+def _pack(elementary, rank, reach=0):
+    """(width, bound, keyed maps) of {exponent tuple: int} maps: bound is
+    their largest coordinate, and the width holds every exponent moved by
+    up to ``reach`` in each coordinate."""
+    elementary = tuple(elementary)
+    bound = max((abs(x) for e in elementary for nu in e for x in nu),
+                default=0)
+    width = _width(bound + reach)
+    weights = _weights(width, rank)
+    return width, bound, tuple({_key(nu, weights): c for nu, c in e.items()}
+                               for e in elementary)
+
+
 class HeckePolynomialSatake:
     """A polynomial sum_k (-1)**(m-k) v**(d(m-k)) e_{m-k} t**k, m = degree.
 
-    ``elementary[j]`` is e_j as an {exponent tuple: nonzero int} map,
-    j = 0..degree; for a Hecke polynomial e_0 = 1 and e_j is the j-th
-    elementary symmetric function of the orbit exponentials.
-    ``hecke_polynomial`` builds the maps on Kronecker keys alone; reading
-    ``elementary`` decodes them once and drops the keys, and the next
-    evaluation packs the tuple maps again.
+    ``maps[j]`` is e_j, j = 0..degree, as {key: nonzero int} at digit
+    ``width``, every exponent coordinate within ``bound``; ``elementary``
+    decodes them to {exponent tuple: int} maps on each read.  Every field
+    is set here, once: tuple maps are packed at the width of their largest
+    coordinate, and ``keyed = (width, bound, maps)`` passes packed ones.
     """
 
-    __slots__ = ("mu", "d", "degree", "rank", "_elementary", "_packed")
+    __slots__ = ("mu", "d", "degree", "rank", "width", "bound", "maps")
 
-    def __init__(self, mu, d, degree, elementary, rank):
+    def __init__(self, mu, d, degree, elementary, rank, *, keyed=None):
         self.mu, self.d, self.degree, self.rank = mu, d, degree, rank
-        self._elementary = tuple(elementary)
-        self._packed = None  # (width, bound, keyed maps)
-
-    @classmethod
-    def _from_keys(cls, mu, d, degree, rank, width, bound, maps):
-        """Wrap keyed maps whose exponents have every |x| <= bound."""
-        H = cls.__new__(cls)
-        H.mu, H.d, H.degree, H.rank = mu, d, degree, rank
-        H._elementary = None
-        H._packed = (width, bound, maps)
-        return H
+        self.width, self.bound, self.maps = keyed or _pack(elementary, rank)
 
     @property
     def elementary(self):
-        if self._elementary is None:
-            width, _, maps = self._packed
-            self._elementary = tuple(
-                dict(zip(_decode(e, width, self.rank), e.values()))
-                for e in maps)
-            self._packed = None  # evaluation re-packs from the tuple maps
-        return self._elementary
-
-    def _keyed(self, reach):
-        """(width, keyed maps) at a width that holds every stored exponent
-        moved by up to ``reach`` in each coordinate; the maps are packed
-        again, once, when there are none yet or their width is narrower."""
-        if self._packed is None:
-            width = 0
-            bound = max((abs(x) for e in self._elementary for nu in e
-                         for x in nu), default=0)
-        else:
-            width, bound, maps = self._packed
-        need = _width(bound + reach)
-        if need > width:
-            weights = _weights(need, self.rank)
-            maps = tuple({_key(nu, weights): c for nu, c in e.items()}
-                         for e in self.elementary)
-            width = need
-            self._packed = (width, bound, maps)
-        return width, maps
+        return tuple(dict(zip(_decode(e, self.width, self.rank), e.values()))
+                     for e in self.maps)
 
     def __eq__(self, other):
         if not isinstance(other, HeckePolynomialSatake):
@@ -270,20 +243,18 @@ class HeckePolynomialSatake:
     @property
     def coefficients(self):
         """The exact t**k coefficients, ascending in k, built on access."""
-        m = self.degree
+        m, d = self.degree, self.d
         return tuple(
             GroupAlgebraElement._trusted(self.rank, {
-                lam: Laurent.v_power(self.d * (m - k), (-1) ** (m - k) * c)
-                for lam, c in self.elementary[m - k].items()})
-            for k in range(m + 1))
+                lam: Laurent.v_power(d * (m - k), (-1) ** (m - k) * c)
+                for lam, c in e.items()})
+            for k, e in enumerate(reversed(self.elementary)))
 
 
 def hecke_polynomial(rd: RootDatum, mu) -> HeckePolynomialSatake:
     """Expand prod_{lam in W.mu} (t - v**d e^lam) by powers of t.
 
-    Every factor has the scalar v**d, so only the elementary symmetric
-    functions e_j of the m orbit exponentials are needed, as {exponent: int}
-    maps.  e_0 .. e_h, h = m // 2, are expanded by e_j += e^lam e_{j-1}
+    e_0 .. e_h, h = m // 2, are expanded on keys by e_j += e^lam e_{j-1}
     (j descending); the rest follow from the functional equation
     e_{m-j}(x) = e_m(x) e_j(x**-1), that is e_{m-j}[sigma - nu] = e_j[nu]
     with sigma the sum of the orbit (Macdonald, Symmetric Functions and
@@ -306,7 +277,7 @@ def hecke_polynomial(rd: RootDatum, mu) -> HeckePolynomialSatake:
     m = len(orb)
     h = m // 2
     # exponents are sums of at most m orbit vectors; evaluate_vanishing at
-    # an orbit element reaches 2 * bound
+    # an orbit element reaches 2 * bound, so it runs on these keys
     bound = m * max(abs(x) for lam in orb for x in lam)
     width = _width(2 * bound)
     weights = _weights(width, rd.rank)
@@ -331,8 +302,8 @@ def hecke_polynomial(rd: RootDatum, mu) -> HeckePolynomialSatake:
     sigma = sum(keys)
     e += [{sigma - key: c for key, c in e[m - j].items()}
           for j in range(h + 1, m + 1)]
-    return HeckePolynomialSatake._from_keys(mu, d, m, rd.rank, width, bound,
-                                            tuple(e))
+    return HeckePolynomialSatake(mu, d, m, None, rd.rank,
+                                 keyed=(width, bound, tuple(e)))
 
 
 def evaluate_vanishing(H: HeckePolynomialSatake,
@@ -342,13 +313,15 @@ def evaluate_vanishing(H: HeckePolynomialSatake,
     Every term of H(v**d e^lam) = v**(dm) sum_k (-1)**(m-k) e_{m-k} e^(k lam)
     carries v**(dm), so the sum runs on one {key: int} map that drops each
     entry the moment it cancels; nothing is left when H vanishes at lam.
-    Each exponent is a stored one plus k lam, k <= m, so the keys are taken
-    at a width that holds m |lam|_inf more; only the residual is decoded.
+    Each exponent is a stored one plus k lam, k <= m; when that needs more
+    digits than H's keys have, the sum runs on a wider local copy.
     """
     lam = int_tuple(H.mu if lam is None else lam, H.rank,
                     "rank-length exponent", SatakeError)
-    m = H.degree
-    width, maps = H._keyed(m * max(map(abs, lam), default=0))
+    m, width, maps = H.degree, H.width, H.maps
+    reach = m * max(map(abs, lam), default=0)
+    if _width(H.bound + reach) > width:
+        width, _, maps = _pack(H.elementary, H.rank, reach)
     step = _key(lam, _weights(width, H.rank))
     acc = {}
     for k, ej in enumerate(reversed(maps)):
@@ -395,12 +368,13 @@ def specialize(H: HeckePolynomialSatake, s: SatakeParameterSymmetric,
     if H.rank != rd.rank:
         raise SatakeError(f"rank {H.rank} polynomial on {rd.name}")
     gens = simple_reflections(rd)
-    out = []
-    for c in H.coefficients:
-        if not is_weyl_invariant(gens, c.terms):
+    m, out = H.degree, []
+    for k, e in enumerate(reversed(H.elementary)):
+        if not is_weyl_invariant(gens, e):
             raise SatakeError("element is not constant on a Weyl orbit")
+        power, sign = H.d * (m - k), (-1) ** (m - k)
         total = Laurent()
-        for rep, lau in c.terms.items():
+        for rep, c in e.items():
             if not is_dominant(rd, rep):
                 continue
             if rep in s.values:
@@ -409,7 +383,7 @@ def specialize(H: HeckePolynomialSatake, s: SatakeParameterSymmetric,
                 raise SatakeError(f"no Satake value assigned to orbit {rep}")
             else:
                 val = 1  # the trivial orbit sum e^0 is the unit
-            total = total + lau * val
+            total += Laurent.v_power(power, sign * c) * val
         total = total.eval_quad(s.p)
         out.append(total if 1 in total.coeffs
                    else Fraction(total.coeffs.get(0, 0)))
@@ -420,53 +394,63 @@ def specialize(H: HeckePolynomialSatake, s: SatakeParameterSymmetric,
 # serialization
 
 def polynomial_to_dict(H: HeckePolynomialSatake):
-    m = H.degree
-    return {
-        "mu": list(H.mu),
-        "d": H.d,
-        "degree": m,
-        "rank": H.rank,
-        "coefficients": [
-            sorted([list(lam), [[H.d * (m - k), [(-1) ** (m - k) * c, 1]]]]
-                   for lam, c in H.elementary[m - k].items())
-            for k in range(m + 1)
-        ],
-    }
+    """Per t**k, the terms [exponent, [[d(m-k), [c, 1]]]] by exponent; each
+    e_{m-k} is decoded and sorted on its own."""
+    m, d = H.degree, H.d
+    return {"mu": list(H.mu), "d": d, "degree": m, "rank": H.rank,
+            "coefficients": [
+                [[list(lam), [[d * (m - k), [(-1) ** (m - k) * c, 1]]]]
+                 for lam, c in sorted(zip(_decode(e, H.width, H.rank),
+                                          e.values()))]
+                for k, e in enumerate(reversed(H.maps))]}
 
 
 def polynomial_from_dict(data) -> HeckePolynomialSatake:
     """Parse the form of ``polynomial_to_dict``; SatakeError on any other."""
-    rank, d, m = int_tuple((data["rank"], data["d"], data["degree"]), 3,
-                           "rank, d and degree", SatakeError)
+    match data:
+        case {"mu": mu, "d": d, "degree": m, "rank": rank,
+              "coefficients": list(coeffs)} if all(
+                  isinstance(entry, list) for entry in coeffs):
+            pass
+        case _:
+            raise SatakeError("a polynomial is a dict of mu, d, degree, rank "
+                              "and coefficients, a list of term lists")
+    rank, d, m = int_tuple((rank, d, m), 3, "rank, d and degree", SatakeError)
     if m < 0:
         raise SatakeError(f"degree {m} is negative")
     if rank < 1:
         raise SatakeError(f"rank {rank} is not positive")
-    coeffs = data["coefficients"]
+    mu = int_tuple(mu, rank, "mu", SatakeError)
     if len(coeffs) != m + 1:
         raise SatakeError(
             f"degree {m} needs {m + 1} coefficients, got {len(coeffs)}")
     elementary = [None] * (m + 1)
     for k, entry in enumerate(coeffs):
         sign, e = (-1) ** (m - k), {}
-        for lam, pairs in entry:
+        for term in entry:
+            match term:
+                case [list(lam), [[v, [num, den]]]]:
+                    pass
+                case [list(lam), list(pairs)] if len(pairs) != 1:
+                    v = None
+                case _:
+                    raise SatakeError(f"the t^{k} term {term!r} is not "
+                                      f"[exponent, [[v-power, [num, den]]]]")
             lam = int_tuple(lam, len(lam), "exponent", SatakeError)
             if len(lam) != rank or lam in e:
                 raise SatakeError(f"exponent {lam} is repeated or not of "
                                   f"rank {rank}")
-            if len(pairs) != 1 or pairs[0][0] != d * (m - k):
+            if not isinstance(v, int) or v != d * (m - k):
                 raise SatakeError(
                     f"the t^{k} coefficient at {lam} is not one multiple "
                     f"of v^{d * (m - k)}")
-            num, den = pairs[0][1]
-            if den != 1 or not isinstance(num, int) or num == 0:
+            if (not isinstance(num, int) or not isinstance(den, int)
+                    or den != 1 or num == 0):
                 raise SatakeError(f"the t^{k} coefficient {num}/{den} at "
                                   f"{lam} is not a nonzero integer")
             e[lam] = sign * num
         elementary[m - k] = e
-    return HeckePolynomialSatake(
-        int_tuple(data["mu"], rank, "mu", SatakeError), d, m,
-        tuple(elementary), rank)
+    return HeckePolynomialSatake(mu, d, m, elementary, rank)
 
 
 def polynomial_to_json(H: HeckePolynomialSatake) -> str:

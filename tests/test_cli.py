@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,16 @@ def test_convolve_bound_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "convolve", "--n", "2", "--p", "2",
                        "--types", "9,0", "9,0")
     assert code == 3 and "bound" in err
+
+
+def test_convolve_past_the_enumeration_bound_stops_at_once(capsys):
+    # (2,2,1,0,0) at p = 3 has 1,274,130 cosets, past padic.ENUM_BOUND; the
+    # exact count refuses it before any enumeration, within seconds
+    start = time.perf_counter()
+    code, out, err = run(capsys, "convolve", "--n", "5", "--p", "3",
+                         "--types", "2,2,1,0,0", "2,2,1,0,0")
+    assert code == 3 and out == "" and "1274130 cosets" in err
+    assert time.perf_counter() - start < 10
 
 
 def test_hecke_poly_term_bound_exit_code(capsys, monkeypatch):

@@ -503,6 +503,31 @@ def test_non_int_sizes_primes_and_types_are_refused(build):
         build()
 
 
+def _sum_dict(*terms):
+    return {"n": 2, "p": 3, "terms": [{"type": [1, 0], "coeff": c}
+                                      for c in terms]}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: pd.double_coset_sum_from_dict(_sum_dict([1, 1], [1, 1])),
+    lambda: pd.double_coset_sum_from_dict(_sum_dict([1, 1], [0, 1])),
+    lambda: pd.double_coset_sum_from_dict(_sum_dict([0.5])),
+    lambda: pd.double_coset_sum_from_dict(_sum_dict(["1/2"])),
+    lambda: pd.double_coset_sum_from_dict(_sum_dict([1, 0])),
+    lambda: pd.double_coset_sum_from_dict(_sum_dict([1, 2, 3])),
+    lambda: pd.double_coset_sum_from_dict(_sum_dict([1.0, 2])),
+    lambda: pd.double_coset_sum_from_dict(_sum_dict(5)),
+    lambda: DoubleCosetSum(2, 3, {(1, 0): 0.1}),
+    lambda: DoubleCosetSum(2, 3, {(1, 0): "1/2"}),
+    lambda: DoubleCosetSum.basis((1, 0), 2, 3, 0.5),
+], ids=["repeated-type", "repeated-type-zero", "one-float", "one-string",
+        "zero-denominator", "three-ints", "float-numerator", "int-coeff",
+        "float", "string", "basis-float"])
+def test_inexact_or_repeated_coefficients_are_refused(build):
+    with pytest.raises(CosetError, match="coefficient|repeated"):
+        build()
+
+
 @pytest.mark.parametrize("n,p", [(2, 4), (2, 1), (2, 0), (2, -3), (0, 2)])
 def test_constructors_reject_bad_size_or_prime(n, p):
     with pytest.raises(CosetError):

@@ -284,9 +284,31 @@ def _spoiled(edit):
     (_spoiled(lambda d: d.update(degree=-1, coefficients=[])),
      "degree -1 is negative"),
     (_spoiled(lambda d: d.update(rank=0, mu=[])), "rank 0 is not positive"),
+    # malformed shapes are refused as such, not with a bare Python error
+    (_spoiled(lambda d: d["coefficients"][1].__setitem__(0, [[0, 1]])),
+     "term \\[\\[0, 1\\]\\] is not \\[exponent"),
+    (_spoiled(lambda d: d["coefficients"][1].__setitem__(0, 5)),
+     "term 5 is not \\[exponent"),
+    (_spoiled(lambda d: d["coefficients"][1][0][1].__setitem__(0, [1, 5])),
+     "term .* is not \\[exponent"),
+    (_spoiled(lambda d: d["coefficients"][1][0][1][0].__setitem__(1, [1])),
+     "term .* is not \\[exponent"),
+    (_spoiled(lambda d: d.update(degree=1, coefficients=[5, []])),
+     "coefficients, a list of term lists"),
+    (_spoiled(lambda d: d.update(coefficients=5)), "a list of term lists"),
+    (_spoiled(lambda d: d.pop("mu")), "a dict of mu"),
+    (_spoiled(lambda d: d.update(mu=5)), "mu 5 is not 2 ints"),
+    # inexact numbers equal to the right ints
+    (_spoiled(lambda d: d["coefficients"][2][0][1].__setitem__(
+        0, [0.0, [1, 1]])), "one multiple of v\\^0"),
+    (_spoiled(lambda d: d["coefficients"][2][0][1][0].__setitem__(
+        1, [1, 1.0])), "1/1.0 at \\(0, 0\\) is not a nonzero integer"),
 ], ids=["too-few", "too-many", "rank", "repeated", "two-powers",
         "wrong-power", "fraction", "zero", "float-exponent", "float-mu",
-        "string-rank", "empty", "negative-degree", "zero-rank"])
+        "string-rank", "empty", "negative-degree", "zero-rank",
+        "term-not-pair", "term-not-list", "pair-not-power",
+        "pair-not-fraction", "coefficient-not-list", "coefficients-not-list",
+        "missing-mu", "int-mu", "float-power", "float-denominator"])
 def test_polynomial_loader_rejects(data, match):
     with pytest.raises(SatakeError, match=match):
         sk.polynomial_from_dict(data)
@@ -402,6 +424,23 @@ def test_evaluation_far_outside_the_orbit_box_widens_the_keys():
         assert got == _substitute(H, lam) and got.is_zero() == (lam == mu)
     assert all(evaluate_vanishing(H, lam).is_zero()
                for lam in orbit(simple_reflections(rd), mu))
+
+
+def test_evaluation_leaves_the_polynomial_as_it_was():
+    # an evaluation that needs wider keys packs its own copy; H keeps its
+    # width and maps, and still equals its JSON round trip, whose maps are
+    # packed at the width of the largest stored coordinate instead
+    rd = build_group("GSp(8)")
+    H = hecke_polynomial(rd, named_cocharacter(rd, "siegel"))
+    width, maps = H.width, H.maps
+    copies = [dict(e) for e in maps]
+    assert sk._width(H.bound + H.degree * 40) > width  # needs a wider copy
+    assert not evaluate_vanishing(H, (40, -40, 0, 0, 0)).is_zero()
+    assert H.width == width and H.maps is maps
+    assert list(H.maps) == copies
+    assert evaluate_vanishing(H).is_zero()
+    back = sk.polynomial_from_json(sk.polynomial_to_json(H))
+    assert back.width != H.width and back == H
 
 
 @pytest.mark.parametrize("bound", [0, 1, 2, 3, 4, 7, 8, 63, 64, 1000])
