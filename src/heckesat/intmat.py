@@ -135,13 +135,21 @@ def hnf_padic(m, p):
 def hnf_core(m, p, k):
     """hnf_padic(m, p) for square int rows m of known det +/- p**k; nothing
     is checked.  Every elementary divisor of m divides p**k, so reducing
-    mod p**(k+1) moves neither m*GL_n(Z_p) nor its double coset."""
+    mod p**(k+1) moves neither m*GL_n(Z_p) nor its double coset.  Two
+    passes follow: ``_eliminate`` makes the rows triangular, bottom first,
+    and ``_reduce`` brings each entry right of the diagonal into range."""
     mod = p ** (k + 1)
     h = [[x % mod for x in r] for r in m]
-    n = len(h)
-    # Bottom row first: columns 0..i are zero below row i, so only rows
-    # 0..i move.  The least-valuation entry of row i becomes the pivot.
-    for i in range(n - 1, -1, -1):
+    _eliminate(h, range(len(h) - 1, -1, -1), p, mod)
+    _reduce(h, 0)
+    return tuple(tuple(r) for r in h)
+
+
+def _eliminate(h, rows, p, mod):
+    """Column operations mod p**(k+1) leaving each of ``rows``, in order,
+    zero left of a p-power diagonal; the pivot of row i is its entry of
+    least valuation in columns 0..i, and only rows 0..i move."""
+    for i in rows:
         v, c = min((p_valuation(h[i][j] or mod, p), j) for j in range(i + 1))
         w = pow(h[i][c] // p ** v, -1, mod)
         for r in h[:i + 1]:
@@ -152,16 +160,18 @@ def hnf_core(m, p, k):
             if q:
                 for r in h[:i + 1]:
                     r[j] = (r[j] - q * r[i]) % mod
-    # Reduce entry (i, j), i < j, modulo the row diagonal p^{a_i}.  Work
-    # down each column so earlier reductions are not disturbed: adding a
-    # multiple of column i only touches rows <= i.
-    for j in range(n):
+
+
+def _reduce(h, start):
+    """Reduce entry (i, j), i < j, of the columns j >= start of triangular
+    h modulo the row diagonal p**a_i, each column from the diagonal up:
+    adding a multiple of column i only touches rows <= i."""
+    for j in range(start, len(h)):
         for i in range(j - 1, -1, -1):
             q = h[i][j] // h[i][i]
             if q:
                 for r in range(i + 1):
                     h[r][j] -= q * h[r][i]
-    return tuple(tuple(r) for r in h)
 
 
 def snf_type(m, p):

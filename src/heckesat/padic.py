@@ -2,14 +2,15 @@
 
 Left cosets g*GL_n(Z_p) are canonicalized by the p-adic Hermite form,
 double cosets K g K by elementary-divisor type.  The left cosets of a
-double coset form one transvection orbit; a product of double cosets is
-read off by counting, (1_{KaK} * 1_{KbK})(p**nu) = #{x in KaK/K :
-x**-1 p**nu in KbK}; only an x with x**-1 p**nu integral, a lattice
-containment, gets a Smith form.  The numeric Satake transform enumerates no
-cosets: it is the Hall-Littlewood closed form v**<delta, lam> *
-P_lam(x; 1/p) of Macdonald, *Symmetric Functions and Hall Polynomials*,
-V (3.3), with P_lam from the branching rule III (5.8') and signs fixed
-in :mod:`heckesat.conventions`.
+double coset form one transvection orbit of Hermite rows, each step
+incremental: a neighbour re-eliminates at most two rows.  A product of
+double cosets is counted on those rows, (1_{KaK} * 1_{KbK})(p**nu) =
+#{x in KaK/K : x**-1 p**nu in KbK}; only an x with x**-1 p**nu integral,
+a lattice containment, gets a Smith form.  The numeric Satake transform
+enumerates no cosets: it is the Hall-Littlewood closed form v**<delta,
+lam> * P_lam(x; 1/p) of Macdonald, *Symmetric Functions and Hall
+Polynomials*, V (3.3), with P_lam from the branching rule III (5.8') and
+signs fixed in :mod:`heckesat.conventions`.
 
 Haar measure is normalized so that K has volume 1; measures of compact
 opens are exact rationals (reciprocal coset counts).
@@ -26,15 +27,14 @@ from itertools import combinations_with_replacement, product
 from math import comb, prod
 
 from .intmat import (
-    NormalFormError,
-    hnf_core,
+    _eliminate,
+    _reduce,
     hnf_padic,
     int_tuple,
     is_prime,
     p_valuation,
     snf_core,
 )
-from .intmat import coset_equal as _coset_equal
 from .laurent import Laurent
 from .rootdata import build_group, simple_reflections
 from .satake import GroupAlgebraElement, is_weyl_invariant
@@ -160,40 +160,48 @@ def coset_count(lam, p):
             // prod(_q_factorial(m, p) for m in mults))
 
 
+def _hermite_step(rep, i, j, p, mod):
+    """hnf_core of Hermite rows rep (det +/- p**k, mod = p**(k+1)) with row
+    j = i +- 1 added to row i.  Row i += row i+1 keeps the diagonal, so only
+    columns > i need reducing; row i += row i-1 breaks the shape of row i
+    alone, so rows i and i-1 are eliminated again before reducing from
+    column i-1.  Rows below i are shared, not copied."""
+    h = [list(r) for r in rep[:i]]
+    h.append([x + y for x, y in zip(rep[i], rep[j])])
+    h += rep[i + 1:]
+    if j < i:
+        _eliminate(h, (i, j), p, mod)
+    _reduce(h, j)
+    return tuple(map(tuple, h))
+
+
 @cache
 def _coset_orbit(lam0, n, p):
     # Adding row j to row i (j = i +- 1) is left multiplication by the
     # transvection I + E_ij.  These generate SL_n(Z), which is dense in
     # SL_n(Z_p), and the diagonal units of K fix p**lam0 K, so the orbit of
     # p**lam0 K is the whole double coset.  Each move permutes the finite
-    # orbit, so no inverse moves are needed; each keeps |det| = p**|lam0|.
+    # orbit, so no inverse moves are needed; each keeps |det| = p**|lam0|,
+    # and ``_hermite_step`` puts each neighbour back into Hermite form.
     moves = [(i, j) for i in range(n) for j in (i - 1, i + 1) if 0 <= j < n]
     start = tuple(tuple(p ** x * (i == j) for j in range(n))
                   for i, x in enumerate(lam0))
-    k = sum(lam0)
+    mod = p ** (sum(lam0) + 1)
     seen, todo = {start}, [start]
     while todo:
         rep = todo.pop()
         for i, j in moves:
-            m = list(rep)
-            m[i] = tuple(x + y for x, y in zip(rep[i], rep[j]))
-            h = hnf_core(m, p, k)
+            h = _hermite_step(rep, i, j, p, mod)
             if h not in seen:
                 seen.add(h)
                 todo.append(h)
-    return tuple(PCoset(n, p, h) for h in sorted(seen))
+    return tuple(sorted(seen))
 
 
-def decompose_double_coset(lam, n, p):
-    """Canonical left-coset representatives of the double coset of type lam.
-
-    The central part is factored out first: for lam = (c, ..., c) + lam0
-    with lam0 ending in 0, the representatives are p**c times those of
-    lam0, the transvection orbit of p**lam0 K, which one cache serves for
-    every c.  More than ENUM_BOUND cosets raise EnumerationBoundError.
-    """
-    n, p = int_tuple((n, p), 2, "size and prime", CosetError)
-    lam = _check_type(lam, n)
+def _central_orbit(lam, n, p):
+    """(c, orbit of lam0) for lam = (c, ..., c) + lam0, lam0 ending in 0,
+    so one cached orbit serves every c.  More than ENUM_BOUND cosets raise
+    EnumerationBoundError before any enumeration."""
     c = lam[-1]
     lam0 = tuple(x - c for x in lam)
     count = coset_count(lam0, p)
@@ -201,12 +209,19 @@ def decompose_double_coset(lam, n, p):
         raise EnumerationBoundError(
             f"enumeration of {count} cosets for type {lam} at p={p} "
             f"exceeds the bound {ENUM_BOUND}")
-    reps = _coset_orbit(lam0, n, p)
-    if c == 0:
-        return list(reps)
+    return c, _coset_orbit(lam0, n, p)
+
+
+def decompose_double_coset(lam, n, p):
+    """Canonical left-coset representatives of the double coset of type
+    lam: p**c times the orbit of p**lam0 K.  More than ENUM_BOUND cosets
+    raise EnumerationBoundError (see ``_central_orbit``)."""
+    n, p = int_tuple((n, p), 2, "size and prime", CosetError)
+    lam = _check_type(lam, n)
+    c, reps = _central_orbit(lam, n, p)
     q = p ** c
-    return [PCoset(n, p, tuple(tuple(q * x for x in row) for row in g.rep))
-            for g in reps]
+    return [PCoset(n, p, tuple(tuple(q * x for x in row) for row in rep))
+            for rep in reps]
 
 
 def _degree(h: DoubleCosetSum):
@@ -230,15 +245,15 @@ def _back_substitute(x, pnu):
 
 
 def _product_count(cosets, b, nu, p):
-    """#{x in cosets : x**-1 p**nu in K p**b K}.  As b >= 0 that needs
-    y = x**-1 p**nu integral (p**nu Z_p**n inside x Z_p**n), tested by back
-    substitution; only then is the Smith type of y, of determinant +/-
-    p**|b|, compared with b."""
+    """#{x in cosets : x**-1 p**nu in K p**b K}, x given by Hermite rows.
+    As b >= 0 that needs y = x**-1 p**nu integral (p**nu Z_p**n inside
+    x Z_p**n), tested by back substitution; only then is the Smith type
+    of y, of determinant +/- p**|b|, compared with b."""
     pnu = [p ** v for v in nu]
     k = sum(b)
     count = 0
     for x in cosets:
-        y = _back_substitute(x.rep, pnu)
+        y = _back_substitute(x, pnu)
         count += y is not None and snf_core(y, p, k) == b
     return count
 
@@ -249,8 +264,10 @@ def convolve_double(h1: DoubleCosetSum, h2: DoubleCosetSum) -> DoubleCosetSum:
     For factor types a and b the candidates nu are the descending types
     with |nu| = |a| + |b| and entries in [a_n + b_n, a_1 + b_1]; the
     coefficient of nu counts cosets of the factor with fewer cosets (the
-    algebra is commutative).  The result is checked against the degree
-    homomorphism: the product's coset count is the product of the counts.
+    algebra is commutative), its central part c moved into nu: the orbit
+    of its type minus c is counted against p**(nu - c).  The result is
+    checked against the degree homomorphism: the product's coset count is
+    the product of the counts.
     """
     if (h1.n, h1.p) != (h2.n, h2.p):
         raise CosetError("size/prime mismatch")
@@ -259,11 +276,11 @@ def convolve_double(h1: DoubleCosetSum, h2: DoubleCosetSum) -> DoubleCosetSum:
     for a, ca in h1.terms.items():
         for b, cb in h2.terms.items():
             small, big = sorted((a, b), key=lambda t: coset_count(t, p))
-            cosets = decompose_double_coset(small, n, p)
+            c, cosets = _central_orbit(small, n, p)
             levels = range(a[0] + b[0], a[-1] + b[-1] - 1, -1)
             for nu in combinations_with_replacement(levels, n):
                 if sum(nu) == sum(a) + sum(b):
-                    k = _product_count(cosets, big, nu, p)
+                    k = _product_count(cosets, big, [v - c for v in nu], p)
                     out[nu] = out.get(nu, Fraction(0)) + ca * cb * k
     result = DoubleCosetSum(n, p, out)
     degree, expected = _degree(result), _degree(h1) * _degree(h2)
@@ -336,14 +353,6 @@ def satake_numeric(h: DoubleCosetSum) -> GroupAlgebraElement:
         raise RuntimeError("numeric Satake image is not Weyl invariant; "
                            "convention inconsistency")
     return result
-
-
-def coset_equal(g1, g2, p) -> bool:
-    """True iff g1 and g2 generate the same left GL_n(Z_p)-coset."""
-    try:
-        return _coset_equal(g1, g2, p)
-    except NormalFormError as exc:
-        raise CosetError(str(exc))
 
 
 # ---------------------------------------------------------------------------

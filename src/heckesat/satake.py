@@ -202,9 +202,11 @@ def _decode(keys, width, rank):
 def _pack(elementary, rank, reach=0):
     """(width, bound, keyed maps) of {exponent tuple: int} maps: bound is
     their largest coordinate, and the width holds every exponent moved by
-    up to ``reach`` in each coordinate."""
+    up to ``reach`` in each coordinate.  SatakeError unless every exponent
+    is ``rank`` ints."""
     elementary = tuple(elementary)
-    bound = max((abs(x) for e in elementary for nu in e for x in nu),
+    bound = max((abs(x) for e in elementary for nu in e
+                 for x in int_tuple(nu, rank, "exponent", SatakeError)),
                 default=0)
     width = _width(bound + reach)
     weights = _weights(width, rank)
@@ -220,13 +222,19 @@ class HeckePolynomialSatake:
     decodes them to {exponent tuple: int} maps on each read.  Every field
     is set here, once: tuple maps are packed at the width of their largest
     coordinate, and ``keyed = (width, bound, maps)`` passes packed ones.
+    Tuple maps other than degree + 1 maps of rank-long int exponents raise
+    SatakeError.
     """
 
     __slots__ = ("mu", "d", "degree", "rank", "width", "bound", "maps")
 
     def __init__(self, mu, d, degree, elementary, rank, *, keyed=None):
         self.mu, self.d, self.degree, self.rank = mu, d, degree, rank
-        self.width, self.bound, self.maps = keyed or _pack(elementary, rank)
+        if keyed is None:
+            keyed = _pack(elementary, rank)
+            if len(keyed[2]) != degree + 1:
+                raise SatakeError(f"degree {degree} needs {degree + 1} maps")
+        self.width, self.bound, self.maps = keyed
 
     @property
     def elementary(self):

@@ -335,18 +335,60 @@ def test_products_and_orbits_run_no_validation_and_filter_first(monkeypatch):
     pd._coset_orbit.cache_clear()
     a, b, p = (2, 1, 0), (1, 1, 0), 3
     cosets = decompose_double_coset(a, 3, p)
+    rows = [x.rep for x in cosets]
     for nu in ((3, 2, 0), (3, 1, 1), (2, 2, 1), (4, 1, 0)):
         smith.clear()
         pnu = [[p ** v * (i == j) for j, v in enumerate(nu)]
                for i in range(3)]
-        contained = [mat_mul(inverse_rational(x.rep), pnu) for x in cosets]
+        contained = [mat_mul(inverse_rational(x), pnu) for x in rows]
         contained = [tuple(tuple(int(e) for e in row) for row in y)
                      for y in contained
                      if all(e.denominator == 1 for row in y for e in row)]
-        count = pd._product_count(cosets, b, nu, p)
+        count = pd._product_count(rows, b, nu, p)
         assert [tuple(map(tuple, y)) for y in smith] == contained
         assert count == sum(snf_type_by_minors(y, p) == b for y in contained)
     assert all(g.snf() == a for g in cosets)
+    pd._coset_orbit.cache_clear()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_hermite_step_is_the_hermite_form_of_the_moved_matrix(data):
+    # a Hermite form with diagonal exponents <= 2 is a coset of its own
+    # type, so any such form is an orbit representative
+    n = data.draw(st.integers(2, 5))
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    exps = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    rep = tuple(tuple(p ** a if j == i else data.draw(
+        st.integers(0, p ** a - 1)) if j > i else 0 for j in range(n))
+        for i, a in enumerate(exps))
+    i = data.draw(st.integers(0, n - 1))
+    j = data.draw(st.sampled_from([j for j in (i - 1, i + 1) if 0 <= j < n]))
+    moved = list(rep)
+    moved[i] = tuple(x + y for x, y in zip(rep[i], rep[j]))
+    k = sum(exps)
+    assert pd._hermite_step(rep, i, j, p, p ** (k + 1)) == \
+        hnf_core(moved, p, k) == hnf_padic(moved, p)
+
+
+def test_orbit_and_convolution_run_no_full_hermite_form(monkeypatch):
+    # the orbit re-eliminates two rows once per downward move, n - 1 per
+    # coset, and convolution counts on the cached rows with no PCoset
+    def forbidden(*args):
+        raise AssertionError("a full Hermite form or a PCoset was built")
+    monkeypatch.setattr(intmat, "hnf_core", forbidden)
+    eliminations = []
+    monkeypatch.setattr(pd, "_eliminate", lambda h, rows, p, mod: (
+        eliminations.append(tuple(rows)), intmat._eliminate(h, rows, p, mod)))
+    pd._coset_orbit.cache_clear()
+    orbit = pd._coset_orbit((2, 1, 0, 0), 4, 3)
+    assert len(orbit) == 4680 and len(eliminations) == 4680 * 3
+    assert {len(rows) for rows in eliminations} == {2}
+    monkeypatch.setattr(PCoset, "__post_init__", forbidden)
+    # (2,2,1) has the fewer cosets and a central part to move into nu
+    a, b = (2, 2, 1), (2, 1, 0)
+    h1, h2 = (DoubleCosetSum.basis(t, 3, 2) for t in (a, b))
+    assert convolve_double(h1, h2).terms == hall.hall_product(a, b, 3, 2)
     pd._coset_orbit.cache_clear()
 
 
@@ -453,13 +495,6 @@ def test_cross_module_convention_lock():
         lhs = satake_numeric(DoubleCosetSum.basis((1, 0), 2, p))
         rhs = reduce_mod_v2(reflect(-H.coefficients[1]), p)
         assert lhs == rhs
-
-
-def test_coset_equal_wrapper():
-    assert pd.coset_equal([[1, 1], [0, 2]], [[1, 3], [0, 2]], 2)
-    assert not pd.coset_equal([[1, 0], [0, 2]], [[2, 0], [0, 1]], 2)
-    with pytest.raises(CosetError):
-        pd.coset_equal([[0, 0], [0, 1]], [[1, 0], [0, 1]], 2)
 
 
 def test_double_coset_json_roundtrip():

@@ -604,6 +604,21 @@ elementary_maps = st.lists(
     min_size=1, max_size=4).map(tuple)
 
 
+@pytest.mark.parametrize("degree,elementary", [
+    (1, ({(0, 0): 1}, {(1, 0, 5): 1})),    # exponent of rank 3, not 2
+    (1, ({(0, 0): 1}, {(1,): 1})),         # exponent of rank 1
+    (1, ({(0, 0): 1}, {(1, 0.5): 1})),     # exponent entry not an int
+    (3, ({(0, 0): 1},)),                   # one map for degree 3
+    (0, ({(0, 0): 1}, {(1, 0): 1})),       # two maps for degree 0
+], ids=["long-exponent", "short-exponent", "float-exponent", "too-few-maps",
+        "too-many-maps"])
+def test_tuple_constructor_refuses_malformed_maps(degree, elementary):
+    # a 3-long exponent must not be cut to (1, 0) by the keys, nor a
+    # missing map be evaluated as if it were zero
+    with pytest.raises(SatakeError):
+        HeckePolynomialSatake((0, 0), 0, degree, elementary, 2)
+
+
 @settings(max_examples=50, deadline=None)
 @given(elementary_maps, st.tuples(*[st.integers(-2, 2)] * 3),
        st.integers(0, 6))
