@@ -9,7 +9,12 @@ is built only where |W| is wanted.
 
 Each constructor gives only its simple (root, coroot) pairs; the other
 positive pairs come from one walk of simple reflections up the heights
-(``_from_simple``), and the result is validated like any other datum.
+(``_walk``), and the result is validated like any other datum.  The same
+walk from a datum's own simple pairs decides its positive roots, and the
+datum is refused unless the walk reaches exactly half of its pairs, the
+rest being their negatives.  So a datum must be reduced: the root datum
+of a reductive group is (Springer, Linear Algebraic Groups, 7.4.3), and
+the walk never reaches 2a.
 The constructors, the lattice bases they use, and the roots that result:
 
 * ``GL(n)``   -- X* = X_* = Z^n, roots e_i - e_j, coroots e_i - e_j.
@@ -32,9 +37,11 @@ The constructors, the lattice bases they use, and the roots that result:
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import product
 
 from .intmat import identity, int_tuple
 
@@ -60,53 +67,20 @@ class RootDatum:
     def pairing(self, char, cochar):
         return sum(a * b for a, b in zip(char, cochar))
 
-    @property
-    def simple_roots(self):
-        return tuple(self.roots[i] for i in self.simple_indices)
-
-    @cached_property
-    def _root_expansions(self):
-        """(nums, D), root r being sum_j nums[r][j] / D times simple root j.
-
-        One fraction-free Gauss-Jordan elimination over Z with every root
-        as a right-hand side: after each pivot every row is divided
-        exactly by the previous pivot (Bareiss), so at the end each pivot
-        row holds D * x_j, D the last pivot.  Both are negated if D < 0,
-        so each coefficient has the sign of its int numerator.  Raises
-        RootDatumError if a root is outside the span.
-        """
-        k, n = len(self.simple_indices), self.rank
-        basis = self.simple_roots
-        rows = [[v[i] for v in basis + self.roots] for i in range(n)]
-        pivots = []
-        prev = 1
-        for j in range(k):
-            r0 = len(pivots)
-            piv = next((r for r in range(r0, n) if rows[r][j] != 0), None)
-            if piv is None:
-                continue
-            rows[r0], rows[piv] = rows[piv], rows[r0]
-            pivot_row = rows[r0]
-            pv = pivot_row[j]
-            for r in range(n):
-                f = rows[r][j]
-                if r != r0:
-                    rows[r] = [(pv * x - f * y) // prev
-                               for x, y in zip(rows[r], pivot_row)]
-            pivots.append(j)
-            prev = pv
-        if any(x != 0 for row in rows[len(pivots):] for x in row[k:]):
-            raise RootDatumError("root outside the span of simple roots")
-        sign = -1 if prev < 0 else 1
-        row = dict(zip(pivots, rows))  # pivot column j -> its row
-        return tuple(tuple(sign * row[j][t] if j in row else 0
-                           for j in range(k))
-                     for t in range(k, k + len(self.roots))), sign * prev
-
     @cached_property
     def _positive(self):
-        return tuple(i for i, c in enumerate(self._root_expansions[0])
-                     if all(x >= 0 for x in c))
+        """Ascending indices of the pairs ``_walk`` reaches from the simple
+        ones; RootDatumError unless those and their negatives are exactly
+        the datum's pairs, each once."""
+        pairs = list(zip(self.roots, self.coroots))
+        up = _walk([pairs[i] for i in self.simple_indices], len(pairs) // 2)
+        both = {*up, *_negatives(up)}
+        if not len(pairs) == len(both) == 2 * len(up) or set(pairs) != both:
+            raise RootDatumError(
+                "the roots are not the pairs the simple roots reach and "
+                "their negatives")
+        index = {p: i for i, p in enumerate(pairs)}
+        return tuple(sorted(index[p] for p in up))
 
     def positive_root_indices(self):
         return self._positive
@@ -128,9 +102,20 @@ class WeylGroup:
 
 
 def validate(rd: RootDatum):
-    """Check the root-datum axioms; raises RootDatumError on failure."""
+    """Check the root-datum axioms; raises RootDatumError on failure.
+
+    In this order, cheapest first: the Cartan integers <a_i, a_j^>
+    (i != j) of the simple pairs are at most 0, <a, a^> = 2 for every
+    pair, each simple reflection permutes the roots and the coroots, and
+    the pairs are those the simple pairs reach (``_walk``) and their
+    negatives, each once, so the datum is reduced.
+    """
     if len(rd.roots) != len(rd.coroots):
         raise RootDatumError("root/coroot count mismatch")
+    for i in rd.simple_indices:
+        for j in rd.simple_indices:
+            if i != j and rd.pairing(rd.roots[i], rd.coroots[j]) > 0:
+                raise RootDatumError("positive off-diagonal Cartan integer")
     for a, av in zip(rd.roots, rd.coroots):
         if rd.pairing(a, av) != 2:
             raise RootDatumError(f"<a, a^> != 2 for {a}, {av}")
@@ -144,18 +129,7 @@ def validate(rd: RootDatum):
         if any(apply_reflection((a, av), bv) not in corootset
                for bv in rd.coroots):
             raise RootDatumError("simple reflection does not permute coroots")
-    for coeffs in rd._root_expansions[0]:
-        if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
-            raise RootDatumError("root with mixed-sign simple expansion")
-    # Cartan integers of simple pairs
-    for i in rd.simple_indices:
-        for j in rd.simple_indices:
-            c = rd.pairing(rd.roots[i], rd.coroots[j])
-            if i == j:
-                if c != 2:
-                    raise RootDatumError("diagonal Cartan integer != 2")
-            elif c > 0:
-                raise RootDatumError("positive off-diagonal Cartan integer")
+    rd.positive_root_indices()  # the walk from the simple pairs
     return rd
 
 
@@ -222,44 +196,59 @@ def _chain(k, rank):
                              for i in range(k - 1))]
 
 
-def _from_simple(name, rank, simple):
-    """The validated datum whose simple (root, coroot) pairs are ``simple``.
+def _negatives(pairs):
+    return [tuple(tuple(-x for x in v) for v in p) for p in pairs]
+
+
+def _walk(simple, bound):
+    """The positive (root, coroot) pairs of the base ``simple``, by height.
 
     Every positive root is reached from a simple one by simple reflections
     that raise its height (Humphreys, Introduction to Lie Algebras and
     Representation Theory, 10.2 Lemma B and 10.3 Theorem (c)).
-    s_i is applied to a positive pair (b, b^) only when k = <b, a_i^> < 0;
+    s_i is applied to a reached pair (b, b^) only when k = <b, a_i^> < 0;
     the image (b - k a_i, b^ - <a_i, b^> a_i^) is positive and its
     simple-root expansion differs from that of b in place i alone.  The
-    positive roots come first, by height and then by expansion (so the
-    simple ones lead, in the given order), followed by their negatives.
+    pairs come by height and then by expansion (so the simple ones lead,
+    in the given order).  RootDatumError once more than ``bound`` pairs
+    are reached: from pairs that are not a base, such as {a, -a}, the
+    walk can climb without end.
     """
     r = len(simple)
     found = {_e(i, r): pair for i, pair in enumerate(simple)}
+    gens = [(_sparse(a), _sparse(av)) for a, av in simple]
     frontier = list(found)
     while frontier:
+        if len(found) > bound:
+            raise RootDatumError(
+                f"the simple roots reach more than {bound} positive roots")
         nxt = []
         for c in frontier:
             b, bv = found[c]
-            for i, (a, av) in enumerate(simple):
-                k = sum(x * y for x, y in zip(b, av))
+            for i, (a, av) in enumerate(gens):
+                k = 0
+                for j, x in av:
+                    k += x * b[j]
                 if k >= 0:
                     continue
                 up = c[:i] + (c[i] - k,) + c[i + 1:]
                 if up not in found:
-                    m = sum(x * y for x, y in zip(a, bv))
-                    found[up] = (_vsub(b, (k * y for y in a)),
-                                 _vsub(bv, (m * y for y in av)))
+                    found[up] = (apply_reflection((av, a), b),
+                                 apply_reflection((a, av), bv))
                     nxt.append(up)
         frontier = nxt
     order = sorted(found, key=lambda c: (sum(c), [-x for x in c]))
-    pos = [found[c] for c in order]
-    roots = [b for b, _ in pos]
-    coroots = [bv for _, bv in pos]
-    roots += [tuple(-x for x in b) for b in roots]
-    coroots += [tuple(-x for x in bv) for bv in coroots]
-    return validate(RootDatum(name, rank, tuple(roots), tuple(coroots),
-                              tuple(range(r))))
+    return [found[c] for c in order]
+
+
+def _from_simple(name, rank, simple):
+    """The validated datum whose simple (root, coroot) pairs are ``simple``:
+    the pairs of ``_walk`` and then their negatives."""
+    pairs = _walk(simple, math.inf)
+    pairs += _negatives(pairs)
+    return validate(RootDatum(name, rank, tuple(b for b, _ in pairs),
+                              tuple(bv for _, bv in pairs),
+                              tuple(range(len(simple)))))
 
 
 def _build_gl(n):
@@ -314,10 +303,12 @@ def simple_reflections(rd: RootDatum):
     """The simple reflections x -> x - <a, x> a^v of X_*, in simple_indices
     order, each as the nonzero entries ((j, a_j), ...) of the root a and
     ((i, a^v_i), ...) of the coroot a^v."""
-    return tuple(
-        tuple(tuple((j, x) for j, x in enumerate(v) if x)
-              for v in (rd.roots[i], rd.coroots[i]))
-        for i in rd.simple_indices)
+    return tuple((_sparse(rd.roots[i]), _sparse(rd.coroots[i]))
+                 for i in rd.simple_indices)
+
+
+def _sparse(v):
+    return tuple((j, x) for j, x in enumerate(v) if x)
 
 
 def apply_reflection(s, x):
@@ -366,7 +357,6 @@ def weyl_group(rd: RootDatum) -> WeylGroup:
 
 def weyl_order_formula(rd: RootDatum):
     """Classical |W| from the constructor name, for cross-checks."""
-    import math
     fam, size = parse_group_name(rd.name)
     if fam in ("GL", "SL"):
         return math.factorial(size)
@@ -441,7 +431,6 @@ def enumerate_dominant_minuscule(rd: RootDatum):
     Every noncentral minuscule orbit of the constructor groups has a
     representative in the {0,1} box under the documented bases.
     """
-    from itertools import product
     out = []
     for mu in product((0, 1), repeat=rd.rank):
         if is_minuscule(rd, mu) and is_dominant(rd, mu):

@@ -1,6 +1,6 @@
+import dataclasses
 import itertools
 import re
-from fractions import Fraction
 from operator import mul
 
 import pytest
@@ -215,43 +215,10 @@ def _root_index(d, root):
     return d["roots"].index(list(root))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_root_expansions_solve_the_simple_system(data):
-    # independent integer "simple roots" (triangular, nonzero diagonal)
-    # and roots c.S / s: the expansion is c / s exactly, as Fractions
-    n = data.draw(st.integers(1, 4))
-    k = data.draw(st.integers(1, n))
-    small = st.integers(-3, 3)
-    simple = [tuple(data.draw(st.sampled_from((-2, -1, 1, 2))) if t == i
-                    else data.draw(small) if i < t < n - 1 else 0
-                    for t in range(n)) for i in range(k)]
-    s = data.draw(st.integers(1, 3))
-    cs = data.draw(st.lists(st.lists(small, min_size=k, max_size=k),
-                            max_size=4))
-    roots = [tuple(sum(c * b[t] for c, b in zip(cj, simple)) * s
-                   for t in range(n)) for cj in cs]
-    rd = rdm.RootDatum("test", n, tuple(simple + roots), (),
-                       tuple(range(k)))
-    nums, den = rd._root_expansions
-    assert den > 0 and all(type(c) is int for e in nums for c in e)
-    expansions = tuple(tuple(Fraction(c, den) for c in e) for e in nums)
-    assert expansions[:k] == tuple(
-        tuple(Fraction(int(i == j)) for j in range(k)) for i in range(k))
-    assert expansions[k:] == tuple(tuple(Fraction(c * s) for c in cj)
-                                   for cj in cs)
-    # below full rank the last coordinate is 0 on the span, 1 on e_n
-    if k < n:
-        e_n = (0,) * (n - 1) + (1,)
-        bad = rdm.RootDatum("test", n, (*simple, e_n), (), tuple(range(k)))
-        with pytest.raises(RootDatumError, match="outside the span"):
-            bad._root_expansions
-
-
 def test_validate_rejects_root_outside_simple_span():
     d = _gsp4_dict()
     d["simple_indices"] = [_root_index(d, (1, -1, 0))]  # alpha_1 alone
-    with pytest.raises(RootDatumError, match="outside the span"):
+    with pytest.raises(RootDatumError, match="the simple roots reach"):
         rdm.from_dict(d)
 
 
@@ -260,8 +227,86 @@ def test_validate_rejects_mixed_sign_expansion():
     d = _gsp4_dict()
     d["simple_indices"] = [_root_index(d, (1, -1, 0)),
                            _root_index(d, (1, 1, -1))]
-    with pytest.raises(RootDatumError, match="mixed-sign"):
+    with pytest.raises(RootDatumError, match="the simple roots reach"):
         rdm.from_dict(d)
+
+
+def test_from_dict_refuses_a_simple_root_and_its_negative():
+    # from {alpha, -alpha} the walk climbs without end: each reflects the
+    # other to a root it holds already, under a new expansion
+    d = rdm.to_dict(build_group("GL(2)"))
+    d["simple_indices"] = [0, 1]
+    with pytest.raises(RootDatumError, match="reach more than 1 positive"):
+        rdm.from_dict(d)
+
+
+@pytest.mark.parametrize("name", ["GL(2)", "GL(3)", "GSp(4)", "GSpin(7)"])
+def test_one_simple_root_too_many_is_refused(name):
+    # every ordered tuple of ss-rank + 1 distinct roots, those that hold a
+    # base and one more root included; validate is what from_dict runs
+    # once the dict is parsed
+    rd = build_group(name)
+    accepted = []
+    for simple in itertools.permutations(range(len(rd.roots)),
+                                         len(rd.simple_indices) + 1):
+        try:
+            rdm.validate(dataclasses.replace(rd, simple_indices=simple))
+        except RootDatumError:
+            continue
+        accepted.append(simple)
+    assert accepted == []
+
+
+@pytest.mark.parametrize("name", ["GL(3)", "GL(4)", "GSp(4)", "GSp(6)",
+                                  "GSpin(7)", "SL(3)"])
+def test_accepted_bases_are_as_many_as_the_weyl_group(name):
+    # W acts simply transitively on the bases (Humphreys, 10.3 Theorem (b)
+    # and (e)), so |W| of the ss-rank index subsets are accepted
+    rd = build_group(name)
+    d = rdm.to_dict(rd)
+    accepted = 0
+    for simple in itertools.combinations(range(len(rd.roots)),
+                                         len(rd.simple_indices)):
+        try:
+            rdm.from_dict(dict(d, simple_indices=list(simple)))
+        except RootDatumError:
+            continue
+        accepted += 1
+    assert accepted == weyl_order_formula(rd)
+
+
+@pytest.mark.parametrize("roots, coroots, simple", [
+    ([[1], [2], [-1], [-2]], [[2], [1], [-2], [-1]], [0]),
+    ([[1], [2], [-1], [-2]], [[2], [1], [-2], [-1]], [1]),
+    ([[1, -1], [1, -1], [-1, 1], [-1, 1]],
+     [[1, -1], [1, -1], [-1, 1], [-1, 1]], [0]),
+], ids=["bc1-from-short", "bc1-from-long", "repeated-pair"])
+def test_from_dict_refuses_a_non_reduced_or_repeated_system(roots, coroots,
+                                                           simple):
+    # BC_1 (roots +-1, +-2) is the root system of no reductive group: the
+    # walk from 1 never reaches 2, nor the walk from 2 reaches 1; a pair
+    # given twice is not reached twice
+    d = {"name": "test", "rank": len(roots[0]), "roots": roots,
+         "coroots": coroots, "simple_indices": simple}
+    with pytest.raises(RootDatumError, match="the simple roots reach"):
+        rdm.from_dict(d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.permutations(range(8)))
+def test_permuted_roots_keep_their_positive_pairs(order):
+    # GSp(4) with its roots reordered, each kept with its coroot
+    rd = build_group("GSp(4)")
+    d = rdm.to_dict(rd)
+    for key in ("roots", "coroots"):
+        d[key] = [d[key][i] for i in order]
+    d["simple_indices"] = [order.index(i) for i in rd.simple_indices]
+    back = rdm.from_dict(d)
+    pos = back.positive_root_indices()
+    assert list(pos) == sorted(pos)
+    assert {back.roots[i] for i in pos} == {
+        rd.roots[i] for i in rd.positive_root_indices()}
+    assert back.delta() == rd.delta()
 
 
 def test_validate_rejects_reflection_that_does_not_permute_roots():
@@ -406,10 +451,14 @@ def test_generated_root_data_match_the_documented_formulas(name):
     assert rd.simple_indices == tuple(range(ss_rank))
     half = len(rd.roots) // 2
     assert rd.positive_root_indices() == tuple(range(half))
-    nums, den = rd._root_expansions
-    expansions = [[Fraction(c, den) for c in e] for e in nums[:half]]
-    assert all(c >= 0 and c.denominator == 1 for e in expansions for c in e)
-    heights = [sum(e) for e in expansions]
+    # by brute force, each positive root is sum_i c_i alpha_i for some c in
+    # {0, 1, 2}^r, and the heights sum_i c_i do not decrease
+    simple = [rd.roots[i] for i in rd.simple_indices]
+    expansion = {tuple(sum(x * a[t] for x, a in zip(c, simple))
+                       for t in range(rd.rank)): c
+                 for c in itertools.product(range(3), repeat=ss_rank)}
+    assert all(rd.roots[i] in expansion for i in range(half))
+    heights = [sum(expansion[rd.roots[i]]) for i in range(half)]
     assert heights == sorted(heights)
 
 
