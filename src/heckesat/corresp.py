@@ -70,10 +70,6 @@ class Correspondence:
     def __add__(self, other):
         return self._entrywise(operator.add, other)
 
-    def __neg__(self):
-        return Correspondence(self.source, self.target, tuple(
-            tuple(-x for x in r) for r in self.weights))
-
     def __sub__(self, other):
         return self._entrywise(operator.sub, other)
 
@@ -154,10 +150,15 @@ def point_set_to_dict(v: FinitePointSet):
 
 
 def point_set_from_dict(d) -> FinitePointSet:
-    size, q, m = int_tuple((d["size"], d["q"], d["m"]), 3, "size, q and m",
-                           CorrespError)
+    match d:
+        case {"size": size, "frobenius": frobenius, "q": q, "m": m}:
+            pass
+        case _:
+            raise CorrespError("a point set is a dict of size, frobenius, q "
+                               "and m")
+    size, q, m = int_tuple((size, q, m), 3, "size, q and m", CorrespError)
     return FinitePointSet(
-        size, int_tuple(d["frobenius"], size, "frobenius", CorrespError), q, m)
+        size, int_tuple(frobenius, size, "frobenius", CorrespError), q, m)
 
 
 def corr_to_dict(c: Correspondence):
@@ -167,11 +168,17 @@ def corr_to_dict(c: Correspondence):
 
 
 def corr_from_dict(d) -> Correspondence:
-    source = point_set_from_dict(d["source"])
-    target = point_set_from_dict(d["target"])
+    match d:
+        case {"source": source, "target": target, "weights": list(weights)}:
+            pass
+        case _:
+            raise CorrespError("a correspondence is a dict of source, target "
+                               "and a list of weight rows")
+    source = point_set_from_dict(source)
+    target = point_set_from_dict(target)
     return Correspondence(source, target, tuple(
         int_tuple(r, target.size, "weight row", CorrespError)
-        for r in d["weights"]))
+        for r in weights))
 
 
 def corr_to_json(c) -> str:

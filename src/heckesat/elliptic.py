@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cache
 
 from .corresp import FinitePointSet
-from .intmat import is_prime
+from .intmat import int_tuple, is_prime
 from .laurent import Laurent
 from .rootdata import build_group
 from .satake import SatakeParameterSymmetric, hecke_polynomial, specialize
@@ -113,6 +113,7 @@ class FieldExt:
     """
 
     def __init__(self, p, k):
+        int_tuple((p, k), 2, "p and k", CurveError)
         if not is_prime(p):
             raise CurveError(f"{p} is not prime")
         if k < 1:
@@ -220,7 +221,10 @@ _cached_field = cache(FieldExt)
 
 
 def field_ext(p, k):
-    """F_{p^k}, built once per (p, k) and kept for the life of the process."""
+    """F_{p^k}, built once per (p, k) and kept for the life of the process.
+    p and k are checked to be ints before the cache is read: (5, 2.0)
+    would find the field built for (5, 2)."""
+    int_tuple((p, k), 2, "p and k", CurveError)
     _check_bound(p, k)  # again: COUNT_BOUND may have dropped since the build
     return _cached_field(p, k)
 
@@ -240,6 +244,7 @@ class EllipticCurve:
     b: int
 
     def __post_init__(self):
+        int_tuple((self.p, self.a, self.b), 3, "p, a and b", CurveError)
         _check_prime(self.p)
         if (4 * self.a ** 3 + 27 * self.b ** 2) % self.p == 0:
             raise CurveError("singular curve: discriminant is zero")
@@ -293,6 +298,9 @@ def count_points(curve: EllipticCurve, k=1) -> int:
 
 
 def frobenius_data(curve: EllipticCurve, k_max=2) -> FrobeniusData:
+    int_tuple((k_max,), 1, "k_max", CurveError)
+    if k_max < 1:
+        raise CurveError("k_max must be >= 1")
     counts = tuple(count_points(curve, k) for k in range(1, k_max + 1))
     a_p = curve.p + 1 - counts[0]
     if a_p * a_p > 4 * curve.p:

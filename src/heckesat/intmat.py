@@ -11,8 +11,7 @@ forms take k from a caller that knows it.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
 
 class NormalFormError(ValueError):
@@ -208,42 +207,3 @@ def snf_core(m, p, k):
         vals.append(v)
     return tuple(sorted(vals, reverse=True))
 
-
-def inverse_rational(m):
-    """Exact inverse with Fraction entries, by Gauss-Jordan elimination."""
-    n = len(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise NormalFormError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(r[n:]) for r in a)
-
-
-def coset_equal(g1, g2, p):
-    """True iff g1*GL_n(Z_p) == g2*GL_n(Z_p) for invertible rational matrices.
-
-    Entries may be ints or Fractions.  Both matrices are scaled by one
-    common denominator s, which moves neither coset, to integer matrices
-    a = s*g1 and b = s*g2.  Then a**-1 * b lies in GL_n(Z_p) iff its
-    entries are p-integral and v_p(det a) == v_p(det b).
-    """
-    g1, g2 = ([[Fraction(x) for x in r] for r in g] for g in (g1, g2))
-    s = lcm(*(x.denominator for g in (g1, g2) for r in g for x in r))
-    a, b = (as_matrix([(s * x).numerator for x in r] for r in g)
-            for g in (g1, g2))
-    da, db = det(a), det(b)
-    if da == 0 or db == 0:
-        raise NormalFormError("singular input to coset_equal")
-    if p_valuation(da, p) != p_valuation(db, p):
-        return False
-    return all(x.denominator % p for row in mat_mul(inverse_rational(a), b)
-               for x in row)

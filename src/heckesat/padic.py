@@ -369,12 +369,24 @@ def double_coset_sum_to_dict(h: DoubleCosetSum):
 def double_coset_sum_from_dict(d) -> DoubleCosetSum:
     """Parse the form of ``double_coset_sum_to_dict``: each coefficient is
     [int, nonzero int] under a distinct type; CosetError otherwise."""
-    n, p = int_tuple((d["n"], d["p"]), 2, "size and prime", CosetError)
+    match d:
+        case {"n": n, "p": p, "terms": list(entries)}:
+            pass
+        case _:
+            raise CosetError("a double coset sum is a dict of n, p and a "
+                             "list of terms")
+    n, p = int_tuple((n, p), 2, "size and prime", CosetError)
     check_size_prime(n, p)
     terms = {}
-    for t in d["terms"]:
-        lam = _check_type(t["type"], n)
-        num, den = int_tuple(t["coeff"], 2, f"coefficient of type {lam}",
+    for t in entries:
+        match t:
+            case {"type": lam, "coeff": coeff}:
+                pass
+            case _:
+                raise CosetError(
+                    f"the term {t!r} is not a dict of type and coeff")
+        lam = _check_type(lam, n)
+        num, den = int_tuple(coeff, 2, f"coefficient of type {lam}",
                              CosetError)
         if not den or lam in terms:
             raise CosetError(f"type {lam} is repeated or its coefficient "

@@ -96,9 +96,7 @@ class RootDatum:
 
 @dataclass(frozen=True)
 class WeylGroup:
-    rank: int
     elements: tuple      # integer matrices acting on X_*
-    generators: tuple    # simple_reflections of the datum
 
 
 def validate(rd: RootDatum):
@@ -175,11 +173,10 @@ def _build(fam, size):
         if size < 4 or size % 2:
             raise RootDatumError("GSO size must be even and >= 4")
         return _build_gso(size // 2)
-    if fam == "GSpin":
-        if size < 3 or size % 2 == 0:
-            raise RootDatumError("GSpin size must be odd and >= 3")
-        return _build_gspin((size - 1) // 2)
-    raise RootDatumError(f"unknown family {fam}")
+    # GSpin, the last of the five families parse_group_name admits
+    if size < 3 or size % 2 == 0:
+        raise RootDatumError("GSpin size must be odd and >= 3")
+    return _build_gspin((size - 1) // 2)
 
 
 def _e(i, n):
@@ -276,8 +273,6 @@ def _build_gsp(g):
 
 
 def _build_gso(n):
-    if n < 2:
-        raise RootDatumError("GSO(2n) needs n >= 2")
     # (eps_1..eps_n, eta): eps_{n-1} + eps_n - eta, coroot eps_{n-1} + eps_n
     return _from_simple(f"GSO({2 * n})", n + 1, _chain(n, n + 1) + [
         ((0,) * (n - 2) + (1, 1, -1), (0,) * (n - 2) + (1, 1, 0))])
@@ -351,25 +346,7 @@ def weyl_group(rd: RootDatum) -> WeylGroup:
                             f"Weyl closure exceeds {MAX_WEYL_ELEMENTS} elements"
                         )
         frontier = nxt
-    return WeylGroup(rd.rank, tuple(sorted(tuple(zip(*w)) for w in seen)),
-                     gens)
-
-
-def weyl_order_formula(rd: RootDatum):
-    """Classical |W| from the constructor name, for cross-checks."""
-    fam, size = parse_group_name(rd.name)
-    if fam in ("GL", "SL"):
-        return math.factorial(size)
-    if fam == "GSp":
-        g = size // 2
-        return 2 ** g * math.factorial(g)
-    if fam == "GSO":
-        n = size // 2
-        return 2 ** (n - 1) * math.factorial(n)
-    if fam == "GSpin":
-        n = (size - 1) // 2
-        return 2 ** n * math.factorial(n)
-    raise RootDatumError(rd.name)
+    return WeylGroup(tuple(sorted(tuple(zip(*w)) for w in seen)))
 
 
 def _cocharacter(rd: RootDatum, mu):
@@ -485,20 +462,27 @@ def to_dict(rd: RootDatum):
 
 
 def from_dict(d) -> RootDatum:
-    """Parse the form of ``to_dict``; RootDatumError unless it holds ints
-    of the right lengths that form a root datum."""
-    (rank,) = int_tuple((d["rank"],), 1, "rank", RootDatumError)
-    roots = tuple(int_tuple(r, rank, "root", RootDatumError)
-                  for r in d["roots"])
-    simple = int_tuple(d["simple_indices"], len(d["simple_indices"]),
-                       "simple indices", RootDatumError)
+    """Parse the form of ``to_dict``; RootDatumError unless it is a dict
+    of a name string and ints of the right lengths that form a root
+    datum."""
+    match d:
+        case {"name": str(name), "rank": rank, "roots": list(roots),
+              "coroots": list(coroots), "simple_indices": list(simple)}:
+            pass
+        case _:
+            raise RootDatumError("a root datum is a dict of a name string, "
+                                 "a rank and lists of roots, coroots and "
+                                 "simple indices")
+    (rank,) = int_tuple((rank,), 1, "rank", RootDatumError)
+    roots = tuple(int_tuple(r, rank, "root", RootDatumError) for r in roots)
+    simple = int_tuple(simple, len(simple), "simple indices", RootDatumError)
     if any(i not in range(len(roots)) for i in simple):
         raise RootDatumError(
             f"simple indices {simple} are not all in range({len(roots)})")
     return validate(RootDatum(
-        d["name"], rank, roots,
-        tuple(int_tuple(c, rank, "coroot", RootDatumError)
-              for c in d["coroots"]), simple))
+        name, rank, roots,
+        tuple(int_tuple(c, rank, "coroot", RootDatumError) for c in coroots),
+        simple))
 
 
 def to_json(rd: RootDatum) -> str:

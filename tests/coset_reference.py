@@ -1,21 +1,32 @@
 """Test references: left-coset expansion of the spherical Hecke algebra of
-GL_n(Q_p), elementary divisors from determinantal divisors, and double
-coset sizes from q-factorials at q = 1/p.
+GL_n(Q_p), elementary divisors from determinantal divisors, double coset
+sizes from q-factorials at q = 1/p, a Fraction Gauss-Jordan inverse with
+the coset test built on it, and the classical Weyl group orders.
 
-Both are independent of the algorithms in :mod:`heckesat.padic` and
-:mod:`heckesat.intmat`.  A left-coset sum is a dict {PCoset: Fraction}
-with no zero coefficients.  The Satake transform here is the
-definition: restrict to the Borel (automatic for the upper-triangular
-Hermite representatives), read the diagonal off onto the torus, and
-twist the coefficient at exponent chi by v**<delta, chi>.
+The first three are independent of the algorithms in
+:mod:`heckesat.padic` and :mod:`heckesat.intmat`.  ``inverse_rational``
+and ``coset_equal`` use only ``as_matrix``, ``det``, ``mat_mul`` and
+``p_valuation`` from intmat, none of its normal forms, nor the
+back-substitution in padic; ``weyl_order_formula`` reads only the group
+name.  A left-coset sum is a dict {PCoset: Fraction} with no zero
+coefficients.  The Satake transform here is the definition: restrict to
+the Borel (automatic for the upper-triangular Hermite representatives),
+read the diagonal off onto the torus, and twist the coefficient at
+exponent chi by v**<delta, chi>.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, prod
+from math import factorial, gcd, lcm, prod
 
-from heckesat.intmat import det, mat_mul, p_valuation
+from heckesat.intmat import (
+    NormalFormError,
+    as_matrix,
+    det,
+    mat_mul,
+    p_valuation,
+)
 from heckesat.laurent import Laurent
 from heckesat.padic import (
     PCoset,
@@ -23,6 +34,7 @@ from heckesat.padic import (
     gl_delta,
     reduce_mod_v2,
 )
+from heckesat.rootdata import RootDatumError, parse_group_name
 from heckesat.satake import GroupAlgebraElement
 
 
@@ -107,3 +119,60 @@ def coset_count_by_q_factorials(lam, p):
         count /= _q_factorial(m, q)
     assert count.denominator == 1
     return count.numerator
+
+
+def inverse_rational(m):
+    """Exact inverse with Fraction entries, by Gauss-Jordan elimination."""
+    n = len(m)
+    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+         for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise NormalFormError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        pv = a[col][col]
+        a[col] = [x / pv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return tuple(tuple(r[n:]) for r in a)
+
+
+def coset_equal(g1, g2, p):
+    """True iff g1*GL_n(Z_p) == g2*GL_n(Z_p) for invertible rational matrices.
+
+    Entries may be ints or Fractions.  Both matrices are scaled by one
+    common denominator s, which moves neither coset, to integer matrices
+    a = s*g1 and b = s*g2.  Then a**-1 * b lies in GL_n(Z_p) iff its
+    entries are p-integral and v_p(det a) == v_p(det b).
+    """
+    g1, g2 = ([[Fraction(x) for x in r] for r in g] for g in (g1, g2))
+    s = lcm(*(x.denominator for g in (g1, g2) for r in g for x in r))
+    a, b = (as_matrix([(s * x).numerator for x in r] for r in g)
+            for g in (g1, g2))
+    da, db = det(a), det(b)
+    if da == 0 or db == 0:
+        raise NormalFormError("singular input to coset_equal")
+    if p_valuation(da, p) != p_valuation(db, p):
+        return False
+    return all(x.denominator % p for row in mat_mul(inverse_rational(a), b)
+               for x in row)
+
+
+def weyl_order_formula(rd):
+    """Classical |W| from the constructor name, for cross-checks."""
+    fam, size = parse_group_name(rd.name)
+    if fam in ("GL", "SL"):
+        return factorial(size)
+    if fam == "GSp":
+        g = size // 2
+        return 2 ** g * factorial(g)
+    if fam == "GSO":
+        n = size // 2
+        return 2 ** (n - 1) * factorial(n)
+    if fam == "GSpin":
+        n = (size - 1) // 2
+        return 2 ** n * factorial(n)
+    raise RootDatumError(rd.name)

@@ -107,6 +107,20 @@ def test_corr_from_dict_rejects_non_int_fields(d):
         corr_from_dict(d)
 
 
+@pytest.mark.parametrize("d", [
+    {},
+    [],
+    {"target": _corr_dict()["target"], "weights": [[1, 0], [0, 3]]},
+    _corr_dict() | {"weights": 5},
+    _corr_dict() | {"source": 5},
+    _corr_dict() | {"target": {"size": 2, "frobenius": [0, 1], "q": 5}},
+], ids=["empty", "list", "no-source", "int-weights", "int-source",
+        "target-without-m"])
+def test_corr_from_dict_refuses_missing_or_mistyped_fields(d):
+    with pytest.raises(CorrespError, match="is a dict of"):
+        corr_from_dict(d)
+
+
 def test_compose_identity():
     ps = make_set()
     rng = random.Random(1)

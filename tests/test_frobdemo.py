@@ -65,6 +65,29 @@ def test_count_points_anchors():
     assert count_points(EllipticCurve(5, 0, 1), 1) == 6
 
 
+@pytest.mark.parametrize("build", [
+    lambda: EllipticCurve(5, 1.5, 1),
+    lambda: EllipticCurve(5, 1, "1"),
+    lambda: EllipticCurve(5.0, 1, 1),
+    lambda: FieldExt(5, 2.0),
+    lambda: FieldExt(5.0, 1),
+    lambda: count_points(EllipticCurve(5, 1, 1), 1.5),
+    # 2.0 == 2 would find the cached F_25 had the cache been read first
+    lambda: (count_points(EllipticCurve(5, 1, 1), 2),
+             count_points(EllipticCurve(5, 1, 1), 2.0)),
+], ids=["float-a", "str-b", "float-p", "float-k", "float-field-p",
+        "count-float-k", "count-cached-float-k"])
+def test_non_int_curve_and_field_parameters_are_refused(build):
+    with pytest.raises(CurveError, match="ints"):
+        build()
+
+
+@pytest.mark.parametrize("k_max", [0, -1, 1.5])
+def test_frobenius_data_refuses_k_max_below_one_or_not_an_int(k_max):
+    with pytest.raises(CurveError, match="k_max"):
+        frobenius_data(EllipticCurve(5, 1, 1), k_max)
+
+
 def test_count_bound():
     with pytest.raises(CurveError):
         count_points(EllipticCurve(101, 1, 1), 4)

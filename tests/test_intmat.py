@@ -4,14 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from coset_reference import snf_type_by_minors
+from coset_reference import coset_equal, inverse_rational, snf_type_by_minors
 from heckesat.intmat import (
     NormalFormError,
-    coset_equal,
     det,
     hnf_padic,
     identity,
-    inverse_rational,
     is_prime,
     mat_mul,
     p_valuation,

@@ -12,7 +12,6 @@ from heckesat.conventions import reflect
 from heckesat.intmat import (
     hnf_core,
     hnf_padic,
-    inverse_rational,
     mat_mul,
     snf_core,
     snf_type,
@@ -37,6 +36,7 @@ from coset_reference import (
     convolve_left,
     coset_count_by_q_factorials,
     expand,
+    inverse_rational,
     satake_by_expansion,
     sigma_to_torus,
     snf_type_by_minors,
@@ -536,6 +536,19 @@ def test_double_coset_json_roundtrip_property(h):
 def test_non_int_sizes_primes_and_types_are_refused(build):
     with pytest.raises(CosetError, match="not 2 ints"):
         build()
+
+
+@pytest.mark.parametrize("d", [
+    {},
+    [],
+    {"n": 2, "terms": []},
+    {"n": 2, "p": 3, "terms": 5},
+    {"n": 2, "p": 3, "terms": [5]},
+    {"n": 2, "p": 3, "terms": [{"type": [1, 0]}]},
+], ids=["empty", "list", "no-p", "int-terms", "int-term", "term-no-coeff"])
+def test_double_coset_sum_from_dict_refuses_missing_or_mistyped_fields(d):
+    with pytest.raises(CosetError, match="is a dict|is not a dict"):
+        pd.double_coset_sum_from_dict(d)
 
 
 def _sum_dict(*terms):

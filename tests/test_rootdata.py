@@ -22,9 +22,10 @@ from heckesat.rootdata import (
     orbit,
     simple_reflections,
     weyl_group,
-    weyl_order_formula,
 )
 from heckesat.satake import hecke_polynomial
+
+from coset_reference import weyl_order_formula
 
 GROUPS = ["GL(2)", "GL(3)", "GL(4)", "SL(2)", "SL(3)",
           "GSp(4)", "GSp(6)", "GSO(8)", "GSpin(7)"]
@@ -52,6 +53,17 @@ def test_weyl_orders_explicit():
                 "GSp(6)": 48, "GSO(8)": 192, "GSpin(7)": 48}
     for name, order in expected.items():
         assert len(weyl_group(build_group(name)).elements) == order
+
+
+def test_weyl_closure_stops_at_its_bound(monkeypatch):
+    # |W(GSp(6))| = 48: a bound of 48 admits the closure, 47 refuses it
+    rd = build_group("GSp(6)")
+    assert len(weyl_group(rd).elements) == 48
+    monkeypatch.setattr(rdm, "MAX_WEYL_ELEMENTS", 48)
+    assert len(weyl_group(rd).elements) == 48
+    monkeypatch.setattr(rdm, "MAX_WEYL_ELEMENTS", 47)
+    with pytest.raises(rdm.WeylBoundError, match="exceeds 47 elements"):
+        weyl_group(rd)
 
 
 def test_root_counts():
@@ -135,9 +147,8 @@ def test_minuscule_and_dominant():
 
 def test_dominant_representative_is_orbit_invariant():
     rd = build_group("GSp(4)")
-    w = weyl_group(rd)
     mu = named_cocharacter(rd, "siegel")
-    for lam in orbit(w.generators, mu):
+    for lam in orbit(simple_reflections(rd), mu):
         assert dominant_representative(rd, lam) == mu
 
 
@@ -158,7 +169,7 @@ def test_parabolic_data(name, alias, orbit_size, d):
                     if rd.pairing(rd.roots[i], mu) == 1)
     assert hecke_polynomial(rd, mu).d == rd.pairing(rd.delta(), mu) \
         == unipotent == d
-    assert len(orbit(weyl_group(rd).generators, mu)) == orbit_size
+    assert len(orbit(simple_reflections(rd), mu)) == orbit_size
 
 
 def test_central_cocharacter_pairs_zero():
@@ -342,6 +353,29 @@ def test_from_dict_rejects_non_integers(edit, match):
         rdm.from_dict(d)
 
 
+def _gl2_dict(drop=None, **fields):
+    d = rdm.to_dict(build_group("GL(2)")) | fields
+    d.pop(drop, None)
+    return d
+
+
+@pytest.mark.parametrize("d", [
+    _gl2_dict(name=7),
+    _gl2_dict(drop="name"),
+    _gl2_dict(drop="roots"),
+    _gl2_dict(drop="coroots"),
+    _gl2_dict(drop="rank"),
+    _gl2_dict(roots=5),
+    _gl2_dict(coroots=None),
+    _gl2_dict(simple_indices=5),
+    [],
+], ids=["int-name", "no-name", "no-roots", "no-coroots", "no-rank",
+        "int-roots", "none-coroots", "int-simple-indices", "list"])
+def test_from_dict_refuses_missing_or_mistyped_fields(d):
+    with pytest.raises(RootDatumError, match="is a dict of a name string"):
+        rdm.from_dict(d)
+
+
 @pytest.mark.parametrize("simple", [[5], [-1], [2], [0, -2]],
                          ids=["five", "minus-one", "one-past-end",
                               "negative-second"])
@@ -376,7 +410,6 @@ def test_orbit_from_generators_matches_closure(name):
     rd = build_group(name)
     gens = simple_reflections(rd)
     elements = weyl_group(rd).elements
-    assert gens == weyl_group(rd).generators
     for mu in enumerate_dominant_minuscule(rd):
         assert orbit(gens, mu) == {tuple(sum(map(mul, row, mu)) for row in w)
                                    for w in elements}
