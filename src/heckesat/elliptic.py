@@ -3,16 +3,17 @@
 Everything is exhaustive and exact.  F_{p^k} is a table-driven field
 (``FieldExt``): elements are ints, and multiplication, inversion, powers,
 Frobenius, square roots and addition are lookups in log/antilog/Zech
-tables built once per (p, k).  Point counts come from a full x-sweep
-worked on those tables, with squares read off the parity of the log;
-the group law is the chord-tangent formula, and the Frobenius
-endomorphism is the coordinate p-power map.  The headline checks are
+tables built once per (p, k).  Point counts sweep one x per Frobenius
+orbit on those tables, with squares read off the parity of the log;
+the group law is the chord-tangent formula, worked on the same tables,
+and the Frobenius endomorphism is the coordinate p-power map.  The
+headline checks are
 
 * count consistency: N_k = p^k + 1 - s_k with s_1 = a_p,
   s_k = a_p s_{k-1} - p s_{k-2};
-* pointwise annihilation: pi^2(P) - [a_p] pi(P) + [p] P = O for every
-  P in E(F_{p^k}), with [m] P read off the multiples of a generator of
-  each cyclic subgroup, walked once;
+* pointwise annihilation: pi^2(P) + [p] P = pi([a_p] P) for every P in
+  E(F_{p^k}), with [m] P read off the multiples of a generator of each
+  cyclic subgroup, walked once, and no addition where pi^2(P) = P;
 * the bridge to the symbolic side: the specialized degree-2 Hecke
   polynomial equals t**2 - a_p t + p.
 """
@@ -22,7 +23,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
+from itertools import chain
 
 from .corresp import FinitePointSet
 from .intmat import int_tuple, is_prime
@@ -175,14 +177,7 @@ class FieldExt:
         return self._exp[self._log[a] + self._log_minus_one] if a else 0
 
     def sub(self, a, b):
-        if not b:
-            return a
-        lb = self._log[b] + self._log_minus_one  # log(-b), below 2n
-        if not a:
-            return self._exp[lb]
-        la = self._log[a]
-        z = self._zech[(lb - la) % self._n]
-        return self._exp[la + z] if z >= 0 else 0
+        return self.add(a, self.neg(b))
 
     def mul(self, a, b):
         return self._exp[self._log[a] + self._log[b]] if a and b else 0
@@ -215,6 +210,22 @@ class FieldExt:
     def frob(self, a):
         """The p-power Frobenius of an element."""
         return self.pow(a, self.p)
+
+    @cached_property
+    def frobenius_orbits(self):
+        """(exponents, sizes): the least e of each orbit of e -> p e (mod n),
+        increasing, and that orbit's size; (x^e)^p = x^(p e), so these are
+        the Frobenius orbits of the nonzero elements.  Built on first use.
+        """
+        n, p, k = self._n, self.p, self.k
+        least = range(n)
+        for m in (p ** j for j in range(1, k)):
+            least = [e for e in least if e * m % n >= e]
+        # x^e is in F_{p^d}, d | k, iff n / (p^d - 1) divides e; the least
+        # such d is the orbit size (a smaller d is written later)
+        size = {e: d for d in range(k - 1, 0, -1) if not k % d
+                for e in range(0, n, n // (p ** d - 1))}
+        return least, [size.get(e, k) for e in least]
 
 
 _cached_field = cache(FieldExt)
@@ -257,43 +268,46 @@ class FrobeniusData:
     ordinary: bool
 
 
-def _rhs_values(field, curve):
-    """x^3 + a x + b for every x, in ``field.elements()`` order.
+def _rhs_logs(field, curve, exponents):
+    """log(x^3 + a x + b) at x = 0, then at x = x^e for each e of
+    exponents; -1 where the value is 0, and every log is below 2n.
 
     Worked on the tables, with no field call per x: for x = x^e,
-    x^3 + a x = x^(3e) (1 + a x^(-2)) and s + b = s (1 + b / s), each
+    x^3 + a x = x^(3e) (1 + a x^(-2e)) and s + b = s (1 + b / s), each
     factor 1 + u read off the Zech table.
     """
     a, b = field.embed(curve.a), field.embed(curve.b)
-    exp, log, zech, n = field._exp, field._log, field._zech, field._n
-    la, lb = log[a], log[b]
-    out = [b]  # x = 0
-    for e in log[1:]:
+    log, zech, n = field._log, field._zech, field._n
+    la, lb = log[a], log[b] if b else -1
+    out = [lb]  # x = 0
+    for e in exponents:
         s = 3 * e % n  # log(x^3 + a x), or -1 where it is 0
         if a:
             z = zech[(la - 2 * e) % n]
             s = (s + z) % n if z >= 0 else -1
         if s < 0:
-            out.append(b)
+            out.append(lb)
         elif b:
             z = zech[(lb - s) % n]
-            out.append(exp[s + z] if z >= 0 else 0)
+            out.append(s + z if z >= 0 else -1)
         else:
-            out.append(exp[s])
+            out.append(s)
     return out
 
 
 def count_points(curve: EllipticCurve, k=1) -> int:
-    """#E(F_{p^k}) by exhaustive x-sweep: rhs 0 gives one point, a nonzero
-    square two (p^k - 1 is even, so the squares have even log)."""
+    """#E(F_{p^k}) by an exhaustive sweep of one x per Frobenius orbit,
+    weighted by its size (f(x^p) = f(x)^p for the curve's f): rhs 0 gives
+    one point, a nonzero square two (its log is even, as p^k - 1 is)."""
     field = field_ext(curve.p, k)
-    log = field._log
+    exponents, sizes = field.frobenius_orbits
     total = 1  # the point at infinity
-    for rhs in _rhs_values(field, curve):
-        if not rhs:
-            total += 1
-        elif not log[rhs] % 2:
-            total += 2
+    for r, size in zip(_rhs_logs(field, curve, exponents),
+                       chain((1,), sizes)):  # x = 0 is its own orbit
+        if r < 0:
+            total += size
+        elif not r % 2:
+            total += 2 * size
     return total
 
 
@@ -322,7 +336,8 @@ def verify_count_consistency(curve: EllipticCurve, k_max=2,
     if k_max < 2:
         raise CurveError("k_max must be >= 2")
     data = frobenius_data(curve, k_max)
-    a_p = data.a_p if a_p is None else a_p
+    (a_p,) = int_tuple((data.a_p if a_p is None else a_p,), 1, "a_p",
+                       CurveError)
     s = trace_power_sums(a_p, curve.p, k_max)
     return all(data.counts[k - 1] == curve.p ** k + 1 - s[k - 1]
                for k in range(1, k_max + 1))
@@ -331,26 +346,40 @@ def verify_count_consistency(curve: EllipticCurve, k_max=2,
 # group law ------------------------------------------------------------------
 
 def add_points(field, curve, P, Q):
-    """Chord-tangent addition; None is the point at infinity."""
+    """Chord-tangent addition; None is the point at infinity.  Worked on
+    the tables: logs add, and u - w = u (1 + x^(log w + n/2 - log u)), as
+    -1 = x^(n/2) for odd p, with the factor read off the Zech table."""
     if P is None:
         return Q
     if Q is None:
         return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2 and not field.add(y1, y2):
+    exp, log, zech, n = field._exp, field._log, field._zech, field._n
+
+    def sub(u, w):
+        if not w:
+            return u
+        lw = log[w] + n // 2
+        if not u:
+            return exp[lw]
+        z = zech[(lw - log[u]) % n]
+        return exp[log[u] + z] if z >= 0 else 0
+
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2 and y2 == sub(0, y1):
         return None
     if P == Q:
-        # F_p embeds as 0..p-1, so 3 and a are their residues mod p
-        num = field.add(field.mul(3 % field.p, field.mul(x1, x1)),
-                        curve.a % field.p)
-        den = field.add(y1, y1)
+        # 3 x1^2 + a over 2 y1, with 2, 3 and -a their residues mod p
+        three = 3 % field.p
+        three_x2 = exp[(log[three] + 2 * log[x1]) % n] if three and x1 else 0
+        num, den = sub(three_x2, -curve.a % field.p), exp[log[2] + log[y1]]
     else:
-        num = field.sub(y2, y1)
-        den = field.sub(x2, x1)
-    lam = field.mul(num, field.inv(den))
-    x3 = field.sub(field.sub(field.mul(lam, lam), x1), x2)
-    y3 = field.sub(field.mul(lam, field.sub(x1, x3)), y1)
+        num, den = sub(y2, y1), sub(x2, x1)
+    if not den:
+        raise CurveError("division by zero in field extension")
+    lam = (log[num] - log[den]) % n if num else -1  # log, or -1 for 0
+    x3 = sub(sub(exp[2 * lam % n] if num else 0, x1), x2)
+    t = sub(x1, x3)
+    y3 = sub(exp[lam + log[t]] if num and t else 0, y1)
     return (x3, y3)
 
 
@@ -365,12 +394,15 @@ def multiples(field, curve, R):
 
 
 def enumerate_points(field, curve):
-    """Affine points plus None for infinity, in deterministic order."""
+    """Affine points plus None for infinity, in deterministic order: x
+    increasing, then y; the roots of x^r are x^(r/2) and -x^(r/2)."""
+    exp, half = field._exp, field._n // 2
     pts = [None]
-    for x, rhs in zip(field.elements(), _rhs_values(field, curve)):
-        y = field.sqrt(rhs)
-        if y is not None:
-            pts.extend((x, r) for r in sorted({y, field.neg(y)}))
+    for x, r in enumerate(_rhs_logs(field, curve, field._log[1:])):
+        if r < 0:
+            pts.append((x, 0))
+        elif not r % 2:
+            pts += sorted([(x, exp[r // 2]), (x, exp[r // 2 + half])])
     return pts
 
 
@@ -378,31 +410,33 @@ def verify_frobenius_annihilation(curve: EllipticCurve, k=2,
                                   a_p=None) -> bool:
     """pi^2(P) - [a_p] pi(P) + [p] P = O for every P in E(F_{p^k}).
 
-    The multiples of each point R not yet covered are walked once; every
-    uncovered P = jR reads [p] P and [-a_p] P off that table and costs two
-    additions, pi^2(P) + pi([-a_p] P) + [p] P (pi commutes with [m], as
-    the curve is defined over F_p).
+    Checked as pi^2(P) + [p] P = pi([a_p] P) (pi commutes with [m], as
+    the curve is defined over F_p).  The multiples of each point R not
+    yet covered are walked once; for each uncovered P = jR the right side
+    is pi of a table entry, the left one the entry at (p + 1) j if
+    pi^2(P) = P (always so for k <= 2, but tested), else one chord.
     """
     field = field_ext(curve.p, k)
     if a_p is None:
         a_p = frobenius_data(curve, 1).a_p
-    frob = [field.frob(c) for c in field.elements()]
+    (a_p,) = int_tuple((a_p,), 1, "a_p", CurveError)
+    p, log, exp, n = curve.p, field._log, field._exp, field._n
+    frob = [0] + [exp[p * e % n] for e in log[1:]]
     covered = {None}
     for R in enumerate_points(field, curve):
         if R in covered:
             continue
         table = multiples(field, curve, R)
-        n = len(table)
+        order = len(table)
         for j, P in enumerate(table):
             if P in covered:
                 continue
             covered.add(P)
-            Q = table[-a_p * j % n]
-            total = add_points(field, curve,
-                               (frob[frob[P[0]]], frob[frob[P[1]]]),
-                               Q and (frob[Q[0]], frob[Q[1]]))
-            if add_points(field, curve, total,
-                          table[curve.p * j % n]) is not None:
+            pi2 = (frob[frob[P[0]]], frob[frob[P[1]]])
+            lhs = (table[(p + 1) * j % order] if pi2 == P
+                   else add_points(field, curve, pi2, table[p * j % order]))
+            Q = table[a_p * j % order]
+            if lhs != (Q and (frob[Q[0]], frob[Q[1]])):
                 return False
     return True
 

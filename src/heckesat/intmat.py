@@ -11,7 +11,9 @@ forms take k from a caller that knows it.
 
 from __future__ import annotations
 
+from itertools import compress
 from math import isqrt
+from operator import add
 
 
 class NormalFormError(ValueError):
@@ -49,20 +51,20 @@ def as_matrix(rows):
 def mat_mul(a, b):
     """a*b, each row a combination of the rows of b.
 
-    Row i is the sum of x * b[t] over the nonzero entries x = a[i][t], so a
-    zero entry of a costs one test and no row operation.  Entries may be
-    ints or Fractions.
+    Row i sums x * b[t] over the nonzero entries x = a[i][t], found by
+    ``itertools.compress``; an entry 1 reuses b[t], so a permutation row
+    runs no Python loop.  Entries may be ints or Fractions.
     """
     width = len(b[0]) if b else 0
     if any(len(r) != len(b) for r in a) or any(len(r) != width for r in b):
         raise NormalFormError("dimension mismatch in product")
     out = []
     for r in a:
-        acc = [0] * width
-        for x, row in zip(r, b):
-            if x:
-                acc = [s + x * y for s, y in zip(acc, row)]
-        out.append(tuple(acc))
+        acc = None
+        for x, row in zip(compress(r, r), compress(b, r)):
+            row = row if x == 1 else [x * y for y in row]
+            acc = tuple(row) if acc is None else tuple(map(add, acc, row))
+        out.append(acc or (0,) * width)
     return tuple(out)
 
 

@@ -463,8 +463,8 @@ def to_dict(rd: RootDatum):
 
 def from_dict(d) -> RootDatum:
     """Parse the form of ``to_dict``; RootDatumError unless it is a dict
-    of a name string and ints of the right lengths that form a root
-    datum."""
+    of a name string, a positive rank and ints of the right lengths that
+    form a root datum."""
     match d:
         case {"name": str(name), "rank": rank, "roots": list(roots),
               "coroots": list(coroots), "simple_indices": list(simple)}:
@@ -474,6 +474,8 @@ def from_dict(d) -> RootDatum:
                                  "a rank and lists of roots, coroots and "
                                  "simple indices")
     (rank,) = int_tuple((rank,), 1, "rank", RootDatumError)
+    if rank < 1:
+        raise RootDatumError(f"rank {rank} is not positive")
     roots = tuple(int_tuple(r, rank, "root", RootDatumError) for r in roots)
     simple = int_tuple(simple, len(simple), "simple indices", RootDatumError)
     if any(i not in range(len(roots)) for i in simple):

@@ -134,6 +134,31 @@ def _negate_point(field, P):
     return None if P is None else (P[0], field.neg(P[1]))
 
 
+def _reference_add(field, curve, P, Q):
+    """Chord-tangent addition by FieldExt method calls, one per field
+    operation: the reference for the table-driven ``add_points``."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2 and not field.add(y1, y2):
+        return None
+    if P == Q:
+        # F_p embeds as 0..p-1, so 3 and a are their residues mod p
+        num = field.add(field.mul(3 % field.p, field.mul(x1, x1)),
+                        curve.a % field.p)
+        den = field.add(y1, y1)
+    else:
+        num = field.sub(y2, y1)
+        den = field.sub(x2, x1)
+    lam = field.mul(num, field.inv(den))
+    x3 = field.sub(field.sub(field.mul(lam, lam), x1), x2)
+    y3 = field.sub(field.mul(lam, field.sub(x1, x3)), y1)
+    return (x3, y3)
+
+
 def _scalar_mult(field, curve, m, P):
     """[m] P by double-and-add."""
     if m < 0:
@@ -141,10 +166,10 @@ def _scalar_mult(field, curve, m, P):
     out = None
     while m:
         if m & 1:
-            out = el.add_points(field, curve, out, P)
+            out = _reference_add(field, curve, out, P)
         m >>= 1
         if m:  # no doubling after the last bit
-            P = el.add_points(field, curve, P, P)
+            P = _reference_add(field, curve, P, P)
     return out
 
 
@@ -157,13 +182,38 @@ def _annihilates_pointwise(curve, k, a_p):
             continue
         piP = (field.frob(P[0]), field.frob(P[1]))
         pi2P = (field.frob(piP[0]), field.frob(piP[1]))
-        total = el.add_points(field, curve, pi2P,
-                              _scalar_mult(field, curve, -a_p, piP))
-        total = el.add_points(field, curve, total,
-                              _scalar_mult(field, curve, curve.p, P))
+        total = _reference_add(field, curve, pi2P,
+                               _scalar_mult(field, curve, -a_p, piP))
+        total = _reference_add(field, curve, total,
+                               _scalar_mult(field, curve, curve.p, P))
         if total is not None:
             return False
     return True
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (5, 2), (7, 1), (7, 2)])
+def test_add_points_matches_field_call_reference(p, k):
+    # every ordered pair, so P = Q, Q = -P and 2-torsion points all occur
+    field = el.field_ext(p, k)
+    two_torsion = 0
+    for curve in all_curves(p):
+        pts = el.enumerate_points(field, curve)
+        two_torsion += sum(1 for P in pts if P and not P[1])
+        for P, Q in product(pts, repeat=2):
+            assert (el.add_points(field, curve, P, Q)
+                    == _reference_add(field, curve, P, Q)), (curve, P, Q)
+    assert two_torsion
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (5, 2), (7, 2)])
+def test_add_points_refuses_equal_x_with_other_y(p, k):
+    # (x, y1) and (x, y2) with y2 != +-y1 cannot both lie on the curve
+    field = el.field_ext(p, k)
+    curve = EllipticCurve(p, 1, 1)
+    for x, y1, y2 in product(range(3), field.elements(), field.elements()):
+        if y2 not in (y1, field.neg(y1)):
+            with pytest.raises(CurveError, match="division by zero"):
+                el.add_points(field, curve, (x, y1), (x, y2))
 
 
 def test_group_law_sanity():
@@ -204,7 +254,8 @@ def test_multiples_match_double_and_add(p, k):
             assert _scalar_mult(field, curve, len(table), R) is None
 
 
-@pytest.mark.parametrize("p,k", [(p, k) for p in (3, 5, 7) for k in (1, 2)])
+@pytest.mark.parametrize("p,k", [(p, k) for p in (3, 5, 7) for k in (1, 2)]
+                         + [(3, 3), (5, 3)])
 def test_annihilation_matches_pointwise_check(p, k):
     bound = math.isqrt(4 * p)
     for curve in all_curves(p):
@@ -238,9 +289,9 @@ def test_annihilation_walks_each_cyclic_subgroup_once(monkeypatch, p):
             assert table[1] not in covered  # each walk starts uncovered
             covered.update(table)
         assert covered == set(pts)
-        # the walks, then two additions for each point other than O
-        walks = sum(len(table) - 1 for table in tables)
-        assert calls[0] == walks + 2 * (len(pts) - 1)
+        # the walks alone: pi^2 is the identity on E(F_{p^2}), so each
+        # check reads both sides off a table
+        assert calls[0] == sum(len(table) - 1 for table in tables)
 
 
 @pytest.mark.parametrize("p,k", [(p, k) for p in (5, 7) for k in (1, 2, 3)])
@@ -442,6 +493,38 @@ def test_frobenius_is_automorphism_of_order_k(p, k):
             image = f.frob(image)
         assert image == a
     assert [a for a in elems if f.frob(a) == a] == list(range(p))
+
+
+@pytest.mark.parametrize("p,k", [(3, k) for k in range(1, 7)]
+                         + [(5, k) for k in range(1, 5)])
+def test_orbit_count_matches_enumeration(p, k):
+    field = el.field_ext(p, k)
+    for curve in all_curves(p):
+        assert count_points(curve, k) == len(el.enumerate_points(field, curve))
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 4), (3, 6), (5, 2), (5, 4),
+                                 (7, 3)])
+def test_frobenius_orbits_are_the_orbits_of_e_to_p_e(p, k):
+    n = p ** k - 1
+    orbits = {frozenset(e * p ** j % n for j in range(k)) for e in range(n)}
+    exponents, sizes = el.field_ext(p, k).frobenius_orbits
+    assert list(exponents) == sorted(min(o) for o in orbits)
+    assert sizes == [len(o) for o in sorted(orbits, key=min)]
+    assert sum(sizes) == n
+    assert set(sizes) == {d for d in range(1, k + 1) if not k % d}
+
+
+@pytest.mark.parametrize("check", [
+    lambda: verify_frobenius_annihilation(EllipticCurve(5, 1, 1), 2, 2.5),
+    lambda: verify_frobenius_annihilation(EllipticCurve(5, 1, 1), 2, -3.0),
+    lambda: verify_count_consistency(EllipticCurve(5, 1, 1), 2, a_p=-3.0),
+    lambda: verify_count_consistency(EllipticCurve(5, 1, 1), 2, a_p="-3"),
+], ids=["annihilation-2.5", "annihilation-float", "counts-float",
+        "counts-str"])
+def test_a_p_that_is_not_an_int_is_refused(check):
+    with pytest.raises(CurveError, match="a_p"):
+        check()
 
 
 def test_count_consistency_beyond_degree_three():

@@ -376,6 +376,14 @@ def test_from_dict_refuses_missing_or_mistyped_fields(d):
         rdm.from_dict(d)
 
 
+@pytest.mark.parametrize("rank", [-1, 0])
+def test_from_dict_refuses_a_rank_below_one(rank):
+    d = {"name": "x", "rank": rank, "roots": [], "coroots": [],
+         "simple_indices": []}
+    with pytest.raises(RootDatumError, match=f"rank {rank} is not positive"):
+        rdm.from_dict(d)
+
+
 @pytest.mark.parametrize("simple", [[5], [-1], [2], [0, -2]],
                          ids=["five", "minus-one", "one-past-end",
                               "negative-second"])
