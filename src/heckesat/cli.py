@@ -139,7 +139,6 @@ def _suite_satake_hom(args):
     n, p = args.n, args.p
     padic.check_size_prime(n, p)
     checks = {}
-    ok = True
     for i in range(args.pairs):
         t1 = tuple(sorted((rng.randint(0, 2) for _ in range(n)), reverse=True))
         t2 = tuple(sorted((rng.randint(0, 2) for _ in range(n)), reverse=True))
@@ -148,10 +147,8 @@ def _suite_satake_hom(args):
         lhs = padic.satake_numeric(padic.convolve_double(h1, h2))
         rhs = padic.reduce_mod_v2(
             padic.satake_numeric(h1) * padic.satake_numeric(h2), p)
-        good = lhs == rhs
-        checks[f"pair {i}: {t1} * {t2}"] = good
-        ok = ok and good
-    return ok, checks
+        checks[f"pair {i}: {t1} * {t2}"] = lhs == rhs
+    return all(checks.values()), checks
 
 
 def _suite_convolution(args):
@@ -226,21 +223,18 @@ def _suite_corresp(args):
 
 def _suite_frobdemo(args):
     p = args.p
-    curves = elliptic.all_curves(p)
+    curves = elliptic.all_curves(p)  # refuses p^2 above the counting bound
     if not args.exhaustive:
-        rng = random.Random(args.seed)
-        count = min(args.curves, len(curves))
-        curves = rng.sample(curves, count)
+        curves = random.Random(args.seed).sample(
+            curves, min(args.curves, len(curves)))
+    k_max = 3 if p ** 3 <= elliptic.COUNT_BOUND else 2
     checks = {}
-    ok = True
     for curve in curves:
-        k_max = 3 if p ** 3 <= elliptic.COUNT_BOUND else 2
-        good = (elliptic.verify_count_consistency(curve, k_max)
-                and elliptic.verify_frobenius_annihilation(curve, 2)
-                and elliptic.satake_link(curve)[0])
-        checks[f"y^2=x^3+{curve.a}x+{curve.b} over F_{p}"] = good
-        ok = ok and good
-    return ok, checks
+        checks[f"y^2=x^3+{curve.a}x+{curve.b} over F_{p}"] = (
+            elliptic.verify_count_consistency(curve, k_max)
+            and elliptic.verify_frobenius_annihilation(curve, 2)
+            and elliptic.satake_link(curve)[0])
+    return all(checks.values()), checks
 
 
 SUITES = {

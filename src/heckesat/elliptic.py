@@ -1,13 +1,12 @@
 """Elliptic curves over small finite fields and the trace of Frobenius.
 
-Everything is exhaustive and exact.  F_{p^k} is a table-driven field
-(``FieldExt``): elements are ints, and multiplication, inversion, powers,
-Frobenius, square roots and addition are lookups in log/antilog/Zech
-tables built once per (p, k).  Point counts sweep one x per Frobenius
-orbit on those tables, with squares read off the parity of the log;
-the group law is the chord-tangent formula, worked on the same tables,
-and the Frobenius endomorphism is the coordinate p-power map.  The
-headline checks are
+Everything is exhaustive and exact.  F_{p^k} is its tables
+(``FieldExt``): elements are ints, and the log, antilog and Zech tables,
+the p-power table and the Frobenius orbits are built once per (p, k).
+Point counts sweep one x per Frobenius orbit on those tables, with
+squares read off the parity of the log; the group law is the
+chord-tangent formula, worked on the same tables, and the Frobenius
+endomorphism is the coordinate p-power map.  The headline checks are
 
 * count consistency: N_k = p^k + 1 - s_k with s_1 = a_p,
   s_k = a_p s_{k-1} - p s_{k-2};
@@ -110,8 +109,8 @@ class FieldExt:
     ``modulus = (a_0, ..., a_{k-1})``) is the first primitive one in
     lexicographic order on (a_{k-1}, ..., a_1, a_0), so the tables are
     reproducible.  One walk over the powers of x fills the exp, log and
-    Zech tables, after which every operation is a lookup.  The tables
-    are O(p^k), so construction raises CountBoundError above COUNT_BOUND.
+    Zech tables, which the callers read directly.  The tables are O(p^k),
+    so construction raises CountBoundError above COUNT_BOUND.
     """
 
     def __init__(self, p, k):
@@ -150,66 +149,23 @@ class FieldExt:
             v = exp[e]
             v += (v + 1) % p - v % p
             zech[e] = log[v] if v else -1
-        self._log_minus_one = log[p - 1]
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
 
     def embed(self, n):
         return n % self.p
 
-    def elements(self):
-        return range(self.order)
-
-    def add(self, a, b):
-        if not a:
-            return b
-        if not b:
-            return a
-        la = self._log[a]
-        z = self._zech[(self._log[b] - la) % self._n]  # a + b = a (1 + b/a)
-        return self._exp[la + z] if z >= 0 else 0
-
-    def neg(self, a):
-        return self._exp[self._log[a] + self._log_minus_one] if a else 0
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def mul(self, a, b):
         return self._exp[self._log[a] + self._log[b]] if a and b else 0
-
-    def pow(self, a, e):
-        if not a:
-            return 0 if e else 1
-        return self._exp[self._log[a] * e % self._n]
 
     def inv(self, a):
         if not a:
             raise CurveError("division by zero in field extension")
         return self._exp[self._n - self._log[a]]
 
-    def sqrt(self, a):
-        """A square root of a, or None when a is not a square.
-
-        a = x^e is a square iff e is even, except for p = 2, where the
-        group order n is odd and x^e = x^(e + n) makes every e even.
-        """
-        if not a:
-            return 0
-        e = self._log[a]
-        if e % 2:
-            if not self._n % 2:
-                return None
-            e += self._n
-        return self._exp[e // 2]
-
-    def frob(self, a):
-        """The p-power Frobenius of an element."""
-        return self.pow(a, self.p)
+    @cached_property
+    def frobenius(self):
+        """frobenius[a] = a^p, as (x^e)^p = x^(p e); built on first use."""
+        exp, n, p = self._exp, self._n, self.p
+        return [0] + [exp[p * e % n] for e in self._log[1:]]
 
     @cached_property
     def frobenius_orbits(self):
@@ -420,8 +376,7 @@ def verify_frobenius_annihilation(curve: EllipticCurve, k=2,
     if a_p is None:
         a_p = frobenius_data(curve, 1).a_p
     (a_p,) = int_tuple((a_p,), 1, "a_p", CurveError)
-    p, log, exp, n = curve.p, field._log, field._exp, field._n
-    frob = [0] + [exp[p * e % n] for e in log[1:]]
+    p, frob = curve.p, field.frobenius
     covered = {None}
     for R in enumerate_points(field, curve):
         if R in covered:
@@ -469,13 +424,14 @@ def export_point_set(curve: EllipticCurve, k=1) -> FinitePointSet:
     field = field_ext(curve.p, k)
     pts = enumerate_points(field, curve)
     index = {P: i for i, P in enumerate(pts)}
-    perm = tuple(index[P and (field.frob(P[0]), field.frob(P[1]))]
-                 for P in pts)
+    frob = field.frobenius
+    perm = tuple(index[P and (frob[P[0]], frob[P[1]])] for P in pts)
     return FinitePointSet(len(pts), perm, curve.p, k)
 
 
 def all_curves(p):
     """Every nonsingular short Weierstrass curve over F_p."""
     _check_prime(p)
+    _check_bound(p, 2)  # about p^2 curves, each checked over F_{p^2}
     return [EllipticCurve(p, a, b) for a in range(p) for b in range(p)
             if (4 * a ** 3 + 27 * b ** 2) % p]

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations_with_replacement, product
+from itertools import product
 from math import comb, prod
 
 from .intmat import (
@@ -258,16 +258,32 @@ def _product_count(cosets, b, nu, p):
     return count
 
 
+def _product_types(a, b):
+    """The descending nu with |nu| = |a| + |b|, nu_1 <= a_1 + b_1 and
+    nu_i >= max(a_i + b_n, b_i + a_n), lexicographically decreasing.  Less
+    the central parts a_n and b_n, the coefficient of nu is a Hall
+    polynomial, zero unless nu contains a and b (Macdonald, ch. II)."""
+    n, total = len(a), sum(a) + sum(b)
+    low = [max(x + b[-1], y + a[-1]) for x, y in zip(a, b)]
+    nus = [()]
+    for i in range(n):  # every prefix kept has a completion
+        nus = [nu + (v,) for nu in nus
+               for v in range(min(nu[-1] if nu else a[0] + b[0],
+                                  total - sum(nu) - sum(low[i + 1:])),
+                              low[i] - 1, -1)
+               if total - sum(nu) - v <= v * (n - 1 - i)]
+    return nus
+
+
 def convolve_double(h1: DoubleCosetSum, h2: DoubleCosetSum) -> DoubleCosetSum:
     """Hecke-algebra product, one coefficient per candidate type.
 
-    For factor types a and b the candidates nu are the descending types
-    with |nu| = |a| + |b| and entries in [a_n + b_n, a_1 + b_1]; the
-    coefficient of nu counts cosets of the factor with fewer cosets (the
-    algebra is commutative), its central part c moved into nu: the orbit
-    of its type minus c is counted against p**(nu - c).  The result is
-    checked against the degree homomorphism: the product's coset count is
-    the product of the counts.
+    For factor types a and b the candidates nu are ``_product_types(a,
+    b)``; the coefficient of nu counts cosets of the factor with fewer
+    cosets (the algebra is commutative), its central part c moved into
+    nu: the orbit of its type minus c is counted against p**(nu - c).  The
+    result is checked against the degree homomorphism: the product's coset
+    count is the product of the counts, so a lost coefficient would raise.
     """
     if (h1.n, h1.p) != (h2.n, h2.p):
         raise CosetError("size/prime mismatch")
@@ -277,11 +293,9 @@ def convolve_double(h1: DoubleCosetSum, h2: DoubleCosetSum) -> DoubleCosetSum:
         for b, cb in h2.terms.items():
             small, big = sorted((a, b), key=lambda t: coset_count(t, p))
             c, cosets = _central_orbit(small, n, p)
-            levels = range(a[0] + b[0], a[-1] + b[-1] - 1, -1)
-            for nu in combinations_with_replacement(levels, n):
-                if sum(nu) == sum(a) + sum(b):
-                    k = _product_count(cosets, big, [v - c for v in nu], p)
-                    out[nu] = out.get(nu, Fraction(0)) + ca * cb * k
+            for nu in _product_types(a, b):
+                k = _product_count(cosets, big, [v - c for v in nu], p)
+                out[nu] = out.get(nu, Fraction(0)) + ca * cb * k
     result = DoubleCosetSum(n, p, out)
     degree, expected = _degree(result), _degree(h1) * _degree(h2)
     if degree != expected:

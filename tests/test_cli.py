@@ -218,6 +218,18 @@ def test_count_bound_exit_code(capsys, monkeypatch):
     assert code == 3 and "counting bound" in err
 
 
+def test_frobdemo_above_the_counting_bound_exits_before_building_curves(
+        capsys):
+    # every check counts over F_{p^2}, so p is refused before any curve
+    # is built
+    start = time.perf_counter()
+    assert run(capsys, "verify", "frobdemo", "--p", "10007",
+               "--curves", "1") == (
+        3, "", "error: p**k = 100140049 exceeds the counting bound "
+               "1000000\n")
+    assert time.perf_counter() - start < 1
+
+
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     from heckesat import satake
 

@@ -2,7 +2,9 @@ import math
 import random
 import time
 from fractions import Fraction
+from functools import cache
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -39,11 +41,11 @@ def test_field_ext_basics():
     f = FieldExt(5, 2)
     assert f.order == 25
     x = 5  # the digits (c_0, c_1) = (0, 1) in base 5
-    assert f.mul(f.one(), x) == x
-    assert f.mul(x, f.inv(x)) == f.one()
-    assert len(list(f.elements())) == 25
+    assert f.mul(1, x) == x
+    assert f.mul(x, f.inv(x)) == 1
+    assert len(f.frobenius) == 25
     # Frobenius fixes exactly the prime field
-    fixed = [a for a in f.elements() if f.frob(a) == a]
+    fixed = [a for a in range(f.order) if f.frobenius[a] == a]
     assert len(fixed) == 5
 
 
@@ -56,7 +58,10 @@ def test_field_ext_degree_four():
     f = FieldExt(3, 4)
     assert f.order == 81
     x = 3  # the digits (c_0, c_1, c_2, c_3) = (0, 1, 0, 0) in base 3
-    assert f.pow(x, f.order - 1) == f.one()
+    power = 1
+    for _ in range(f.order - 1):
+        power = f.mul(power, x)
+    assert power == 1
 
 
 def test_count_points_anchors():
@@ -130,32 +135,55 @@ def test_a_p_outside_hasse_bound_raises(monkeypatch, check):
         check(EllipticCurve(5, 1, 1))
 
 
+@cache
+def _reference_field(p, k):
+    """F_{p^k} tabulated once by schoolbook arithmetic on base-p digits,
+    with the library's modulus: add[a][b], mul[a][b], neg[a], inv[a] and
+    frob[a] = a^p, sharing no log, antilog or Zech table with the code
+    they check."""
+    modulus = el.field_ext(p, k).modulus
+    q = range(p ** k)
+    mul = [[_schoolbook_mul(p, modulus, a, b) for b in q] for a in q]
+    return SimpleNamespace(
+        p=p, mul=mul,
+        add=[[_schoolbook_add(p, k, a, b) for b in q] for a in q],
+        neg=[_schoolbook_neg(p, k, a) for a in q],
+        inv=[row.index(1) if a else None for a, row in enumerate(mul)],
+        frob=[_schoolbook_pow(p, modulus, a, p) for a in q])
+
+
 def _negate_point(field, P):
-    return None if P is None else (P[0], field.neg(P[1]))
+    neg = _reference_field(field.p, field.k).neg
+    return None if P is None else (P[0], neg[P[1]])
 
 
 def _reference_add(field, curve, P, Q):
-    """Chord-tangent addition by FieldExt method calls, one per field
-    operation: the reference for the table-driven ``add_points``."""
+    """Chord-tangent addition on the schoolbook tables, one lookup per
+    field operation: the reference for the table-driven ``add_points``."""
     if P is None:
         return Q
     if Q is None:
         return P
+    f = _reference_field(field.p, field.k)
+    add, mul = f.add, f.mul
+
+    def sub(u, w):
+        return add[u][f.neg[w]]
+
     x1, y1 = P
     x2, y2 = Q
-    if x1 == x2 and not field.add(y1, y2):
+    if x1 == x2 and not add[y1][y2]:
         return None
     if P == Q:
         # F_p embeds as 0..p-1, so 3 and a are their residues mod p
-        num = field.add(field.mul(3 % field.p, field.mul(x1, x1)),
-                        curve.a % field.p)
-        den = field.add(y1, y1)
+        num = add[mul[3 % f.p][mul[x1][x1]]][curve.a % f.p]
+        den = add[y1][y1]
     else:
-        num = field.sub(y2, y1)
-        den = field.sub(x2, x1)
-    lam = field.mul(num, field.inv(den))
-    x3 = field.sub(field.sub(field.mul(lam, lam), x1), x2)
-    y3 = field.sub(field.mul(lam, field.sub(x1, x3)), y1)
+        num = sub(y2, y1)
+        den = sub(x2, x1)
+    lam = mul[num][f.inv[den]]
+    x3 = sub(sub(mul[lam][lam], x1), x2)
+    y3 = sub(mul[lam][sub(x1, x3)], y1)
     return (x3, y3)
 
 
@@ -177,11 +205,12 @@ def _annihilates_pointwise(curve, k, a_p):
     """pi^2(P) - [a_p] pi(P) + [p] P = O checked point by point, each
     multiple by double-and-add: the reference for the table walk."""
     field = el.field_ext(curve.p, k)
+    frob = _reference_field(curve.p, k).frob
     for P in el.enumerate_points(field, curve):
         if P is None:
             continue
-        piP = (field.frob(P[0]), field.frob(P[1]))
-        pi2P = (field.frob(piP[0]), field.frob(piP[1]))
+        piP = (frob[P[0]], frob[P[1]])
+        pi2P = (frob[piP[0]], frob[piP[1]])
         total = _reference_add(field, curve, pi2P,
                                _scalar_mult(field, curve, -a_p, piP))
         total = _reference_add(field, curve, total,
@@ -210,8 +239,10 @@ def test_add_points_refuses_equal_x_with_other_y(p, k):
     # (x, y1) and (x, y2) with y2 != +-y1 cannot both lie on the curve
     field = el.field_ext(p, k)
     curve = EllipticCurve(p, 1, 1)
-    for x, y1, y2 in product(range(3), field.elements(), field.elements()):
-        if y2 not in (y1, field.neg(y1)):
+    neg = _reference_field(p, k).neg
+    elements = range(field.order)
+    for x, y1, y2 in product(range(3), elements, elements):
+        if y2 not in (y1, neg[y1]):
             with pytest.raises(CurveError, match="division by zero"):
                 el.add_points(field, curve, (x, y1), (x, y2))
 
@@ -297,16 +328,10 @@ def test_annihilation_walks_each_cyclic_subgroup_once(monkeypatch, p):
 @pytest.mark.parametrize("p,k", [(p, k) for p in (5, 7) for k in (1, 2, 3)])
 def test_rhs_sweep_with_a_or_b_zero(p, k):
     f = el.field_ext(p, k)
-    roots = {}
-    for y in f.elements():
-        roots.setdefault(f.mul(y, y), []).append(y)
     curves = [c for c in all_curves(p) if c.a == 0 or c.b == 0]
     assert {c.a == 0 for c in curves} == {True, False}
     for curve in curves:
-        a, b = f.embed(curve.a), f.embed(curve.b)
-        pts = [(x, y) for x in f.elements()
-               for y in roots.get(f.add(f.mul(f.mul(x, x), x),
-                                        f.add(f.mul(a, x), b)), [])]
+        pts = _brute_force_points(curve, k)
         assert el.enumerate_points(f, curve) == [None] + pts
         assert count_points(curve, k) == len(pts) + 1
 
@@ -381,6 +406,13 @@ def _schoolbook_mul(p, modulus, a, b):
     return sum(c % p * p ** i for i, c in enumerate(prod[:k]))
 
 
+def _schoolbook_pow(p, modulus, a, e):
+    out = 1
+    for _ in range(e):
+        out = _schoolbook_mul(p, modulus, out, a)
+    return out
+
+
 def _schoolbook_add(p, k, a, b):
     return sum((x + y) % p * p ** i for i, (x, y) in
                enumerate(zip(_digits(a, p, k), _digits(b, p, k))))
@@ -390,30 +422,57 @@ def _schoolbook_neg(p, k, a):
     return sum(-x % p * p ** i for i, x in enumerate(_digits(a, p, k)))
 
 
-def _schoolbook_sub(p, k, a, b):
-    return sum((x - y) % p * p ** i for i, (x, y) in
-               enumerate(zip(_digits(a, p, k), _digits(b, p, k))))
+def _powers_of_x(p, modulus):
+    """[x^0, x^1, ..., x^(q-1)], q = p^k, by schoolbook multiplication."""
+    k = len(modulus)
+    x = _schoolbook_mul(p, modulus, 1, p if k > 1 else -modulus[0] % p)
+    powers = [1]
+    for _ in range(p ** k - 1):
+        powers.append(_schoolbook_mul(p, modulus, powers[-1], x))
+    return powers
 
 
 def _x_is_primitive(p, modulus):
     """x^(q-1) = 1 and x, x^2, ..., x^(q-1) are q - 1 distinct elements."""
-    k = len(modulus)
-    x = _schoolbook_mul(p, modulus, 1, p if k > 1 else -modulus[0] % p)
-    powers = [x]
-    for _ in range(p ** k - 2):
-        powers.append(_schoolbook_mul(p, modulus, powers[-1], x))
-    return powers[-1] == 1 and len(set(powers)) == p ** k - 1
+    powers = _powers_of_x(p, modulus)[1:]
+    return powers[-1] == 1 and len(set(powers)) == len(powers)
 
 
-@pytest.mark.parametrize("p,k", SMALL_FIELDS)
+def _brute_force_points(curve, k):
+    """The affine points of curve over F_{p^k}, x then y increasing, by
+    schoolbook arithmetic at every x and y."""
+    p, modulus = curve.p, el.field_ext(curve.p, k).modulus
+
+    def mul(a, b):
+        return _schoolbook_mul(p, modulus, a, b)
+
+    def add(a, b):
+        return _schoolbook_add(p, k, a, b)
+
+    roots = {}
+    for y in range(p ** k):
+        roots.setdefault(mul(y, y), []).append(y)
+    return [(x, y) for x in range(p ** k)
+            for y in roots.get(add(mul(mul(x, x), x),
+                                   add(mul(curve.a % p, x), curve.b % p)), [])]
+
+
+TABLE_FIELDS = SMALL_FIELDS + ((3, 4), (2, 6))
+
+
+@pytest.mark.parametrize("p,k", TABLE_FIELDS)
 def test_field_matches_schoolbook_arithmetic(p, k):
     f = FieldExt(p, k)
-    for a in f.elements():
-        assert f.neg(a) == _schoolbook_neg(p, k, a)
-        for b in f.elements():
-            assert f.mul(a, b) == _schoolbook_mul(p, f.modulus, a, b)
-            assert f.add(a, b) == _schoolbook_add(p, k, a, b)
-            assert f.sub(a, b) == _schoolbook_sub(p, k, a, b)
+    n = f.order - 1
+    powers = _powers_of_x(p, f.modulus)[:n]
+    assert list(f._exp) == powers * 2
+    assert [f._log[v] for v in powers] == list(range(n))
+    # zech[e] = log(1 + x^e), or -1 where 1 + x^e = 0
+    for e, v in enumerate(powers):
+        s = _schoolbook_add(p, k, 1, v)
+        assert f._zech[e] == (f._log[s] if s else -1), e
+    for a, b in product(range(f.order), repeat=2):
+        assert f.mul(a, b) == _schoolbook_mul(p, f.modulus, a, b)
 
 
 @pytest.mark.parametrize("p,k", SMALL_FIELDS + ((2, 1), (3, 1), (7, 1)))
@@ -441,58 +500,65 @@ def field_and_elements(draw):
 @given(field_and_elements())
 def test_field_axioms(fabc):
     f, a, b, c = fabc
-    add, mul = f.add, f.mul
-    assert add(add(a, b), c) == add(a, add(b, c))
+    mul = f.mul
+
+    def add(u, w):
+        return _schoolbook_add(f.p, f.k, u, w)
+
     assert mul(mul(a, b), c) == mul(a, mul(b, c))
     assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
-    assert add(a, b) == add(b, a) and mul(a, b) == mul(b, a)
-    assert add(a, f.zero()) == a and mul(a, f.one()) == a
-    assert add(a, f.neg(a)) == f.zero()
-    assert add(f.sub(a, b), b) == a
-    if a != f.zero():
-        assert mul(a, f.inv(a)) == f.one()
-        assert f.pow(a, f.order - 1) == f.one()
-        assert f.pow(a, 5) == mul(a, mul(mul(a, a), mul(a, a)))
+    assert mul(a, b) == mul(b, a) and mul(a, 1) == a
+    if a:
+        assert mul(a, f.inv(a)) == 1
+    if a and b:  # a + b = a (1 + b/a), read off the Zech table
+        z = f._zech[(f._log[b] - f._log[a]) % (f.order - 1)]
+        assert (f._exp[f._log[a] + z] if z >= 0 else 0) == add(a, b)
 
 
 @pytest.mark.parametrize("p,k", FIELD_SIZES)
 def test_sqrt_finds_exactly_the_squares(p, k):
+    # the roots enumerate_points reads off the log: x^e is a square iff e
+    # is even (every element is when p = 2), its roots x^(e/2) and
+    # x^(e/2 + n/2) = -x^(e/2)
     f = el.field_ext(p, k)
-    squares = {f.mul(y, y) for y in f.elements()}
-    for a in f.elements():
-        root = f.sqrt(a)
-        assert (root is not None) == (a in squares)
-        if root is not None:
-            assert f.mul(root, root) == a
+    n = f.order - 1
+    squares = {_schoolbook_mul(p, f.modulus, y, y) for y in range(f.order)}
+    for a in range(1, f.order):
+        e = f._log[a]
+        assert (a in squares) == (p == 2 or not e % 2)
+        if not e % 2:
+            root = f._exp[e // 2]
+            assert _schoolbook_mul(p, f.modulus, root, root) == a
+            if p > 2:
+                assert f._exp[e // 2 + n // 2] == _schoolbook_neg(p, k, root)
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (3, 3), (5, 2), (7, 1), (13, 1)])
 def test_enumerate_points_matches_brute_force(p, k):
     f = el.field_ext(p, k)
     for curve in all_curves(p)[::3]:
-        a, b = f.embed(curve.a), f.embed(curve.b)
-        pts = [(x, y) for x in f.elements() for y in f.elements()
-               if f.mul(y, y) == f.add(f.mul(f.mul(x, x), x),
-                                       f.add(f.mul(a, x), b))]
+        pts = _brute_force_points(curve, k)
         assert el.enumerate_points(f, curve) == [None] + pts
         assert count_points(curve, k) == len(pts) + 1
 
 
-@pytest.mark.parametrize("p,k", SMALL_FIELDS + ((3, 4), (2, 6)))
+@pytest.mark.parametrize("p,k", TABLE_FIELDS)
 def test_frobenius_is_automorphism_of_order_k(p, k):
     f = FieldExt(p, k)
-    elems = list(f.elements())
-    images = [f.frob(a) for a in elems]
-    assert sorted(images) == elems
+    frob = f.frobenius
+    elems = list(range(f.order))
+    assert frob == [_schoolbook_pow(p, f.modulus, a, p) for a in elems]
+    assert sorted(frob) == elems
     for a in elems:
         for b in elems[::3]:
-            assert f.frob(f.mul(a, b)) == f.mul(f.frob(a), f.frob(b))
-            assert f.frob(f.add(a, b)) == f.add(f.frob(a), f.frob(b))
+            assert frob[f.mul(a, b)] == f.mul(frob[a], frob[b])
+            assert (frob[_schoolbook_add(p, k, a, b)]
+                    == _schoolbook_add(p, k, frob[a], frob[b]))
         image = a
         for _ in range(k):
-            image = f.frob(image)
+            image = frob[image]
         assert image == a
-    assert [a for a in elems if f.frob(a) == a] == list(range(p))
+    assert [a for a in elems if frob[a] == a] == list(range(p))
 
 
 @pytest.mark.parametrize("p,k", [(3, k) for k in range(1, 7)]

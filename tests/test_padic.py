@@ -1,7 +1,8 @@
 import importlib.util
 import random
+import time
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
@@ -405,6 +406,28 @@ def test_unit_laws():
     e = DoubleCosetSum.unit(2, 2)
     assert convolve_double(h, e) == h
     assert convolve_double(e, h) == h
+
+
+def test_unit_product_has_one_candidate_type():
+    # the product's types contain both factors' types, so a product with
+    # the unit has one candidate type
+    start = time.perf_counter()
+    h = DoubleCosetSum.basis((40,) + (0,) * 7, 8, 2)
+    assert convolve_double(h, DoubleCosetSum.unit(8, 2)) == h
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_product_types_are_the_types_containing_both_factors(n):
+    for a, b in product(types(n, 2), repeat=2):
+        # shifted by the central parts: nu - a_n - b_n contains a - a_n
+        # and b - b_n
+        expected = [nu for nu in combinations_with_replacement(
+                        range(a[0] + b[0], -1, -1), n)
+                    if sum(nu) == sum(a) + sum(b)
+                    and all(v >= x + b[-1] and v >= y + a[-1]
+                            for v, x, y in zip(nu, a, b))]
+        assert pd._product_types(a, b) == expected, (a, b)
 
 
 def test_associativity_random():
