@@ -13,16 +13,15 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
 
-from .intmat import int_tuple, mat_mul
+from .intmat import frozen, int_tuple, mat_mul
 
 
 class CorrespError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class FinitePointSet:
     """Point set of a variety over F_{q^m} with its Frobenius permutation."""
     size: int
@@ -48,7 +47,7 @@ class FinitePointSet:
                 raise CorrespError("frobenius**m is not the identity")
 
 
-@dataclass(frozen=True)
+@frozen
 class Correspondence:
     source: FinitePointSet
     target: FinitePointSet
@@ -74,7 +73,7 @@ class Correspondence:
         return self._entrywise(operator.sub, other)
 
 
-@dataclass(frozen=True)
+@frozen
 class CycleZero:
     base: FinitePointSet
     coefficients: tuple

@@ -20,13 +20,15 @@ endomorphism is the coordinate p-power map.  The headline checks are
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from bisect import bisect
+from collections import Counter
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import chain
+from itertools import accumulate, chain
 
 from .corresp import FinitePointSet
-from .intmat import int_tuple, is_prime
+from .intmat import frozen, int_tuple, is_prime
 from .laurent import Laurent
 from .rootdata import build_group
 from .satake import SatakeParameterSymmetric, hecke_polynomial, specialize
@@ -120,8 +122,7 @@ class FieldExt:
         if k < 1:
             raise CurveError("extension degree must be >= 1")
         _check_bound(p, k)
-        self.p = p
-        self.k = k
+        self.p, self.k = p, k
         self.order = q = p ** k
         # lexicographic order on (a_{k-1}, ..., a_0) is the order of the ints
         candidates = (tuple(i // p ** j % p for j in range(k))
@@ -204,7 +205,7 @@ def _check_prime(p):
         raise CurveError("p must be an odd prime >= 3")
 
 
-@dataclass(frozen=True)
+@frozen
 class EllipticCurve:
     p: int
     a: int
@@ -217,7 +218,7 @@ class EllipticCurve:
             raise CurveError("singular curve: discriminant is zero")
 
 
-@dataclass(frozen=True)
+@frozen
 class FrobeniusData:
     a_p: int
     counts: tuple   # N_1, ..., N_kmax
@@ -429,9 +430,30 @@ def export_point_set(curve: EllipticCurve, k=1) -> FinitePointSet:
     return FinitePointSet(len(pts), perm, curve.p, k)
 
 
+class _Curves(Sequence):
+    """The nonsingular curves over F_p in (a, b) order, each built when read;
+    ``_starts[a]`` counts those of smaller a, p less #{b: 27 b^2 = -4 a^3}."""
+
+    def __init__(self, p):
+        hits = Counter(27 * b ** 2 % p for b in range(p))
+        self.p, self._starts = p, list(accumulate(
+            (p - hits[-4 * a ** 3 % p] for a in range(p)), initial=0))
+
+    def __len__(self):
+        return self._starts[-1]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]  # IndexError outside the sequence
+        a, p = bisect(self._starts, i) - 1, self.p
+        bs = [b for b in range(p) if (4 * a ** 3 + 27 * b ** 2) % p]
+        return EllipticCurve(p, a, bs[i - self._starts[a]])
+
+
 def all_curves(p):
-    """Every nonsingular short Weierstrass curve over F_p."""
+    """Every nonsingular short Weierstrass curve over F_p, as a sequence
+    that builds only the curves read from it (``random.sample`` reads k)."""
     _check_prime(p)
     _check_bound(p, 2)  # about p^2 curves, each checked over F_{p^2}
-    return [EllipticCurve(p, a, b) for a in range(p) for b in range(p)
-            if (4 * a ** 3 + 27 * b ** 2) % p]
+    return _Curves(p)

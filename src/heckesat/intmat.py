@@ -6,7 +6,9 @@ fixed prime p: they canonicalize left cosets g*GL_n(Z_p) and classify
 double cosets by elementary-divisor type.  Both come from one method:
 reduce mod p**(k+1), k = v_p(det), and eliminate with a pivot of least
 p-adic valuation scaled by the inverse of its unit part; the ``_core``
-forms take k from a caller that knows it.
+forms take k from a caller that knows it.  ``frozen`` makes the package's
+value classes: immutable, and compared, hashed and shown by their fields;
+it generates no code at import, so the package imports quickly.
 """
 
 from __future__ import annotations
@@ -18,6 +20,39 @@ from operator import add
 
 class NormalFormError(ValueError):
     pass
+
+
+def frozen(cls):
+    """Make cls an immutable value class on its annotated fields, in order:
+    built by position or keyword (TypeError on a missing, extra or repeated
+    field), then checked by ``__post_init__`` if cls has one; ``==`` and
+    hash on the field tuple, within one class; repr ``Name(f=value!r, ...)``;
+    AttributeError on setting or deleting.  Fields live in ``__dict__``, so
+    ``functools.cached_property`` works."""
+    names = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kw):
+        values = dict(zip(names, args), **kw)
+        if len(args) + len(kw) != len(names) or values.keys() != set(names):
+            raise TypeError(f"{cls.__name__} takes the fields {names}")
+        self.__dict__.update(values)
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def fields(self):
+        return tuple(getattr(self, name) for name in names)
+
+    def refuse(self, name, *value):
+        raise AttributeError(f"{cls.__name__} is immutable: {name!r}")
+
+    cls.__init__, cls.__setattr__, cls.__delattr__ = __init__, refuse, refuse
+    cls.__repr__ = lambda self: "{}({})".format(cls.__qualname__, ", ".join(
+        map("{}={!r}".format, names, fields(self))))
+    cls.__eq__ = lambda self, other: (
+        fields(self) == fields(other) if other.__class__ is self.__class__
+        else NotImplemented)
+    cls.__hash__ = lambda self: hash(fields(self))
+    return cls
 
 
 def int_tuple(xs, size, what, error):
@@ -100,10 +135,14 @@ def p_valuation(x, p):
         raise NormalFormError(f"valuation at p={p} is undefined")
     if x == 0:
         raise NormalFormError("valuation of zero")
-    v = 0
+    # q = p**k, k = 1, 2, 4, ... and back to 1 when q fails: O(log(v)**2) steps
+    v, q, k = 0, p, 1
     while x % p == 0:
-        x //= p
-        v += 1
+        if x % q:
+            q, k = p, 1
+        x //= q
+        v += k
+        q, k = q * q, 2 * k
     return v
 
 

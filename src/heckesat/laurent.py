@@ -116,15 +116,8 @@ class Laurent:
         return Laurent(d)
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            if e == 0:
-                parts.append(f"{c}")
-            elif e == 1:
-                parts.append(f"{c}*v" if c != 1 else "v")
-            else:
-                parts.append(f"{c}*v^{e}" if c != 1 else f"v^{e}")
-        return " + ".join(parts)
+        def term(e, c):
+            power = "v" if e == 1 else f"v^{e}"
+            return f"{c}" if e == 0 else power if c == 1 else f"{c}*{power}"
+        return " + ".join(term(e, self.coeffs[e]) for e in
+                          sorted(self.coeffs, reverse=True)) or "0"

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -29,6 +28,7 @@ from math import comb, prod
 from .intmat import (
     _eliminate,
     _reduce,
+    frozen,
     hnf_padic,
     int_tuple,
     is_prime,
@@ -57,7 +57,7 @@ def check_size_prime(n, p):
         raise CosetError(f"p={p} is not prime")
 
 
-@dataclass(frozen=True)
+@frozen
 class PCoset:
     """Canonical left coset rep * GL_n(Z_p), rep = hnf_padic(rep, p).
 
@@ -373,10 +373,8 @@ def satake_numeric(h: DoubleCosetSum) -> GroupAlgebraElement:
 # serialization
 
 def double_coset_sum_to_dict(h: DoubleCosetSum):
-    terms = []
-    for lam in sorted(h.terms):
-        c = h.terms[lam]
-        terms.append({"type": list(lam), "coeff": [c.numerator, c.denominator]})
+    terms = [{"type": list(lam), "coeff": [c.numerator, c.denominator]}
+             for lam, c in sorted(h.terms.items())]
     return {"n": h.n, "p": h.p, "terms": terms}
 
 

@@ -39,11 +39,10 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product
 
-from .intmat import identity, int_tuple
+from .intmat import frozen, identity, int_tuple
 
 MAX_WEYL_ELEMENTS = 10 ** 6
 
@@ -56,7 +55,7 @@ class WeylBoundError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class RootDatum:
     name: str
     rank: int
@@ -94,7 +93,7 @@ class RootDatum:
         return tuple(d)
 
 
-@dataclass(frozen=True)
+@frozen
 class WeylGroup:
     elements: tuple      # integer matrices acting on X_*
 
@@ -143,9 +142,7 @@ def parse_group_name(name):
     m = _NAME_RE.match(name)
     if not m:
         raise RootDatumError(f"unknown group name {name!r}")
-    fam = _CANON[m.group(1).lower()]
-    size = int(m.group(2))
-    return fam, size
+    return _CANON[m.group(1).lower()], int(m.group(2))
 
 
 def build_group(name) -> RootDatum:
@@ -408,11 +405,8 @@ def enumerate_dominant_minuscule(rd: RootDatum):
     Every noncentral minuscule orbit of the constructor groups has a
     representative in the {0,1} box under the documented bases.
     """
-    out = []
-    for mu in product((0, 1), repeat=rd.rank):
-        if is_minuscule(rd, mu) and is_dominant(rd, mu):
-            out.append(mu)
-    return out
+    return [mu for mu in product((0, 1), repeat=rd.rank)
+            if is_minuscule(rd, mu) and is_dominant(rd, mu)]
 
 
 def named_cocharacter(rd: RootDatum, alias):

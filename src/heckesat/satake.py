@@ -29,11 +29,10 @@ Z[X_*].  Tuple exponents are decoded only where they are read.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 
-from .intmat import int_tuple
+from .intmat import frozen, int_tuple
 from .laurent import Laurent
 from .rootdata import (
     RootDatum,
@@ -144,12 +143,8 @@ class GroupAlgebraElement:
         return hash((self.rank, frozenset(self.terms.items())))
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for lam in sorted(self.terms):
-            parts.append(f"({self.terms[lam]})*e^{lam}")
-        return " + ".join(parts)
+        return " + ".join(f"({self.terms[lam]})*e^{lam}"
+                          for lam in sorted(self.terms)) or "0"
 
 
 def is_weyl_invariant(gens, terms) -> bool:
@@ -350,7 +345,7 @@ def evaluate_vanishing(H: HeckePolynomialSatake,
 # ---------------------------------------------------------------------------
 # specialization at Satake parameters
 
-@dataclass(frozen=True)
+@frozen
 class SatakeParameterSymmetric:
     """Exact values assigned to Weyl-orbit sums of exponentials.
 

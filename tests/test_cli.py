@@ -68,6 +68,17 @@ def test_convolve_bound_exit_code(capsys, monkeypatch):
     assert code == 3 and "bound" in err
 
 
+def test_convolve_with_a_huge_exponent_is_quick(capsys):
+    # the Smith forms take v_2 of 2**100000: log2 of it squarings, not
+    # 100000 divisions of a big int
+    start = time.perf_counter()
+    assert run(capsys, "convolve", "--n", "2", "--p", "2", "--types",
+               "100000,0", "0,0") == (0, "n: 2\np: 2\nproduct:\n"
+                                      "  100000,0: [1, 1]\n"
+                                      "types: [[100000, 0], [0, 0]]\n", "")
+    assert time.perf_counter() - start < 1
+
+
 def test_convolve_past_the_enumeration_bound_stops_at_once(capsys):
     # (2,2,1,0,0) at p = 3 has 1,274,130 cosets, past padic.ENUM_BOUND; the
     # exact count refuses it before any enumeration, within seconds
@@ -208,6 +219,17 @@ def test_prop33_passes_with_a_degree_two_polynomial(capsys):
     code, out, err = run(capsys, "--format", "json", "verify", "prop33",
                          "--group", "GL(2)")
     assert (code, json.loads(out)["passed"], err) == (0, True, "")
+
+
+def test_sampled_frobdemo_draws_the_same_curves(capsys):
+    # the seed's draw from the curve sequence, fixed in text and in JSON
+    argv = ("verify", "frobdemo", "--p", "7", "--curves", "10", "--seed", "3")
+    text = "".join(f"  y^2=x^3+{c} over F_7: True\n"
+                   for c in FROBDEMO_P7_SEED3_CURVES)
+    assert run(capsys, *argv) == (
+        0, f"checks:\n{text}passed: True\nsuite: frobdemo\n", "")
+    assert run(capsys, "--format", "json", *argv) == (
+        0, FROBDEMO_P7_SEED3_JSON, "")
 
 
 def test_count_bound_exit_code(capsys, monkeypatch):
@@ -427,6 +449,17 @@ FROBDEMO_P5_JSON = (
     '"y^2=x^3+4x+0 over F_5": true, "y^2=x^3+4x+1 over F_5": true, '
     '"y^2=x^3+4x+2 over F_5": true, "y^2=x^3+4x+3 over F_5": true, '
     '"y^2=x^3+4x+4 over F_5": true}, "passed": true, '
+    '"suite": "frobdemo"}\n')
+
+FROBDEMO_P7_SEED3_CURVES = ("0x+1", "0x+5", "1x+3", "2x+6", "3x+0", "4x+0",
+                            "5x+2", "5x+6", "6x+1", "6x+2")
+FROBDEMO_P7_SEED3_JSON = (
+    '{"checks": {"y^2=x^3+0x+1 over F_7": true, '
+    '"y^2=x^3+0x+5 over F_7": true, "y^2=x^3+1x+3 over F_7": true, '
+    '"y^2=x^3+2x+6 over F_7": true, "y^2=x^3+3x+0 over F_7": true, '
+    '"y^2=x^3+4x+0 over F_7": true, "y^2=x^3+5x+2 over F_7": true, '
+    '"y^2=x^3+5x+6 over F_7": true, "y^2=x^3+6x+1 over F_7": true, '
+    '"y^2=x^3+6x+2 over F_7": true}, "passed": true, '
     '"suite": "frobdemo"}\n')
 
 PROP33_ALL_JSON = (

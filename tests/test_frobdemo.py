@@ -612,6 +612,32 @@ def test_count_points_matches_euler_criterion():
             assert count_points(curve, 1) == _euler_count(p, curve.a, curve.b)
 
 
+def _curves_listed(p):
+    return [EllipticCurve(p, a, b) for a in range(p) for b in range(p)
+            if (4 * a ** 3 + 27 * b ** 2) % p]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_all_curves_is_the_list_read_lazily(p):
+    # at p = 3 every b is singular for a = 0, so that row is empty
+    curves, listed = all_curves(p), _curves_listed(p)
+    assert len(curves) == len(listed)
+    assert [curves[i] for i in range(len(curves))] == listed
+    assert list(curves) == listed and curves[::3] == listed[::3]
+    assert [curves[-i] for i in range(1, 4)] == listed[-3:][::-1]
+    for i in (len(listed), -len(listed) - 1):
+        with pytest.raises(IndexError):
+            curves[i]
+
+
+def test_sampling_all_curves_draws_as_from_the_list():
+    # above random.sample's pooling size it reads only the drawn indices
+    curves, listed = all_curves(101), _curves_listed(101)
+    for seed in range(5):
+        assert (random.Random(seed).sample(curves, 3)
+                == random.Random(seed).sample(listed, 3))
+
+
 def test_frobdemo_at_p_101(capsys):
     assert main(["verify", "frobdemo", "--p", "101", "--curves", "2"]) == 0
     assert "passed: True" in capsys.readouterr().out

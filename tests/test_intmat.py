@@ -30,6 +30,27 @@ def test_p_valuation():
         p_valuation(0, 2)
 
 
+def _valuation_one_power_at_a_time(x, p):
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def test_p_valuation_matches_dividing_one_power_at_a_time():
+    rng = random.Random(0)
+    for _ in range(3000):
+        p = rng.choice((2, 3, 5, 7, 4, 6, 10))
+        x = (rng.choice((-1, 1)) * rng.randrange(1, 10 ** 6)
+             * p ** rng.choice((0, 1, rng.randrange(300))))
+        assert p_valuation(x, p) == _valuation_one_power_at_a_time(x, p)
+    for v in (1, 2, 3, 63, 64, 65, 1000, 4097):
+        for unit in (1, -1, 3, -5 ** 7):
+            assert p_valuation(unit * 2 ** v, 2) == v
+    assert p_valuation(-(7 ** 100000) * 13, 7) == 100000
+
+
 def test_hnf_identity_fixed():
     assert hnf_padic(identity(3), 2) == identity(3)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import re
 from operator import mul
@@ -10,6 +9,7 @@ from heckesat import rootdata as rdm
 from heckesat.cli import ALL_GROUPS
 from heckesat.intmat import det
 from heckesat.rootdata import (
+    RootDatum,
     RootDatumError,
     apply_reflection,
     build_group,
@@ -261,7 +261,8 @@ def test_one_simple_root_too_many_is_refused(name):
     for simple in itertools.permutations(range(len(rd.roots)),
                                          len(rd.simple_indices) + 1):
         try:
-            rdm.validate(dataclasses.replace(rd, simple_indices=simple))
+            rdm.validate(RootDatum(rd.name, rd.rank, rd.roots, rd.coroots,
+                                   simple))
         except RootDatumError:
             continue
         accepted.append(simple)
