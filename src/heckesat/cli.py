@@ -7,9 +7,9 @@ Exit codes, chosen by exception type:
   a ``prop33`` run whose polynomials all have degree 1;
 * 2 -- usage error: bad group, cocharacter, type, size n, prime p,
   curve or a negative ``--pairs`` / ``--curves`` count (ValueError);
-* 3 -- resource bound exceeded: coset enumeration, a finite field
-  above the counting bound, or a Hecke polynomial whose elementary
-  symmetric functions exceed ``satake.TERM_BOUND`` terms;
+* 3 -- resource bound exceeded: coset enumeration or count, a p above
+  the primality-test bound, a finite field above the counting bound, or
+  a Hecke polynomial whose e_j exceed ``satake.TERM_BOUND`` terms;
 * 4 -- internal error: a failed internal-consistency check (a
   RuntimeError) or any other exception, reported on one line.
 
@@ -26,6 +26,7 @@ import sys
 
 from . import corresp, elliptic, padic, rootdata, satake
 from .conventions import reflect
+from .intmat import PrimeBoundError
 from .padic import EnumerationBoundError
 
 EXIT_OK = 0
@@ -312,7 +313,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (EnumerationBoundError, elliptic.CountBoundError,
-            satake.TermBoundError) as exc:
+            satake.TermBoundError, PrimeBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
     except ValueError as exc:

@@ -3,10 +3,13 @@
 Everything is exhaustive and exact.  F_{p^k} is its tables
 (``FieldExt``): elements are ints, and the log, antilog and Zech tables,
 the p-power table and the Frobenius orbits are built once per (p, k).
-Point counts sweep one x per Frobenius orbit on those tables, with
-squares read off the parity of the log; the group law is the
-chord-tangent formula, worked on the same tables, and the Frobenius
-endomorphism is the coordinate p-power map.  The headline checks are
+The modulus is found by the walk over the powers of x that fills the
+tables: candidates whose norm does not generate F_p^* are skipped, and a
+walk stops as soon as x is seen not to have order p^k - 1.  Point counts
+sweep one x per Frobenius orbit on those tables, with squares read off
+the parity of the log; the group law is the chord-tangent formula,
+worked on the same tables, and the Frobenius endomorphism is the
+coordinate p-power map.  The headline checks are
 
 * count consistency: N_k = p^k + 1 - s_k with s_1 = a_p,
   s_k = a_p s_{k-1} - p s_{k-2};
@@ -26,6 +29,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import accumulate, chain
+from math import gcd
 
 from .corresp import FinitePointSet
 from .intmat import frozen, int_tuple, is_prime
@@ -53,53 +57,41 @@ def _check_bound(p, k):
 # ---------------------------------------------------------------------------
 # finite field extensions F_{p^k}
 
-def _prime_factors(n):
-    out, r = [], 2
-    while r * r <= n:
-        if n % r == 0:
-            out.append(r)
-            while n % r == 0:
-                n //= r
-        r += 1
-    return out + [n] if n > 1 else out
+def _generators(p):
+    """The generators of F_p^*: g^j with gcd(j, p - 1) = 1, g the least
+    element whose powers first return to 1 at step p - 1."""
+    for g in range(1, p):
+        powers = [1]
+        while (v := powers[-1] * g % p) != 1:
+            powers.append(v)
+        if len(powers) == p - 1:
+            return {v for j, v in enumerate(powers) if gcd(j, p - 1) == 1}
 
 
-def _x_power(e, modulus, p):
-    """x**e in F_p[x] / (x^k + modulus), coefficient lists low first."""
+def _walk(p, modulus, exp, log):
+    """Write x^e into exp[e] and exp[e + n], and e into log[x^e], for e = 0,
+    1, ... modulo x^k + modulus (n = p^k - 1); stop where x^e is 0 or 1, or
+    lies in F_p before step r = n / (p - 1).  True iff x first returns to 1
+    at step n: x has order n, so the modulus is primitive (Lidl and
+    Niederreiter, *Finite Fields*, Thm 3.16).  The powers of a primitive x
+    meet F_p first at step r, so the early stops reject only the others."""
     k = len(modulus)
-    out = [1] + [0] * (k - 1)
-    base = [-modulus[0] % p] if k == 1 else [0, 1] + [0] * (k - 2)
-    while e:
-        if e & 1:
-            out = _mul_mod(out, base, modulus, p)
-        base = _mul_mod(base, base, modulus, p)
-        e >>= 1
-    return out
-
-
-def _mul_mod(a, b, modulus, p):
-    k = len(modulus)
-    prod = [0] * (2 * k - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-    # reduce with x^k = -(a_0 + ... + a_{k-1} x^{k-1}), top degree first
-    for i in range(2 * k - 2, k - 1, -1):
-        c = prod[i] % p
-        if c:
-            for j, m in enumerate(modulus):
-                prod[i - k + j] -= c * m
-    return [c % p for c in prod[:k]]
-
-
-def _is_primitive(modulus, p):
-    """x has order p^k - 1 modulo x^k + modulus, which forces a field."""
-    n = p ** len(modulus) - 1
-    one = [1] + [0] * (len(modulus) - 1)
-    return (_x_power(n, modulus, p) == one
-            and all(_x_power(n // r, modulus, p) != one
-                    for r in _prime_factors(n)))
+    n, top = p ** k - 1, p ** (k - 1)
+    r = n // (p - 1)
+    # x * (t x^{k-1} + rest) = x rest - t (a_0 + ... + a_{k-1} x^{k-1})
+    terms = [(p ** i, -c % p) for i, c in enumerate(modulus) if c]
+    v = 1
+    for e in range(n):
+        exp[e] = exp[e + n] = v
+        log[v] = e
+        t, v = divmod(v, top)
+        v *= p
+        for w, c in terms:
+            d = v // w % p
+            v += ((d + t * c) % p - d) * w
+        if v < p and (e + 1 < r or v < 2):
+            break
+    return e == n - 1 and v == 1
 
 
 class FieldExt:
@@ -110,9 +102,12 @@ class FieldExt:
     0..p-1.  The modulus x^k + a_{k-1} x^{k-1} + ... + a_0 (stored as
     ``modulus = (a_0, ..., a_{k-1})``) is the first primitive one in
     lexicographic order on (a_{k-1}, ..., a_1, a_0), so the tables are
-    reproducible.  One walk over the powers of x fills the exp, log and
-    Zech tables, which the callers read directly.  The tables are O(p^k),
-    so construction raises CountBoundError above COUNT_BOUND.
+    reproducible.  A candidate is skipped unless its norm (-1)^k a_0
+    generates F_p^*; on the others ``_walk`` fills the exp and log tables
+    until x is seen not to be primitive, and the first walk to reach
+    x^(p^k - 1) = 1 wins and overwrites all the rejected ones wrote.  The
+    callers read the tables directly.  The tables are O(p^k), so
+    construction raises CountBoundError above COUNT_BOUND.
     """
 
     def __init__(self, p, k):
@@ -124,32 +119,19 @@ class FieldExt:
         _check_bound(p, k)
         self.p, self.k = p, k
         self.order = q = p ** k
-        # lexicographic order on (a_{k-1}, ..., a_0) is the order of the ints
-        candidates = (tuple(i // p ** j % p for j in range(k))
-                      for i in range(q))
-        self.modulus = next(m for m in candidates if _is_primitive(m, p))
         n = self._n = q - 1
         # exp[e] = x^e for 0 <= e < 2n, so a sum of two logs needs no mod
         exp = self._exp = array("i", [0]) * (2 * n)
         log = self._log = array("i", [0]) * q
-        top = p ** (k - 1)
-        # x * (t x^{k-1} + rest) = x rest - t (a_0 + ... + a_{k-1} x^{k-1})
-        terms = [(p ** i, -c % p) for i, c in enumerate(self.modulus) if c]
-        v = 1
-        for e in range(n):
-            exp[e] = exp[e + n] = v
-            log[v] = e
-            t, v = divmod(v, top)
-            v *= p
-            for w, c in terms:
-                d = v // w % p
-                v += ((d + t * c) % p - d) * w
-        # zech[e] = log(1 + x^e), or -1 where 1 + x^e = 0
-        zech = self._zech = array("i", [0]) * n
-        for e in range(n):
-            v = exp[e]
-            v += (v + 1) % p - v % p
-            zech[e] = log[v] if v else -1
+        # lexicographic order on (a_{k-1}, ..., a_0) is the order of the ints
+        norms, sign = _generators(p), (-1) ** k
+        candidates = (tuple(i // p ** j % p for j in range(k))
+                      for i in range(q) if sign * i % p in norms)
+        self.modulus = next(m for m in candidates if _walk(p, m, exp, log))
+        # zech[e] = log(1 + x^e), or -1 where 1 + x^e = 0, at x^e = p - 1
+        self._zech = array("i", [log[v + 1 if v % p != p - 1 else v - p + 1]
+                                 for v in exp[:n]])
+        self._zech[log[p - 1]] = -1
 
     def embed(self, n):
         return n % self.p

@@ -18,7 +18,14 @@ from math import isqrt
 from operator import add
 
 
+PRIME_BOUND = 10 ** 12  # largest n ``is_prime`` tests
+
+
 class NormalFormError(ValueError):
+    pass
+
+
+class PrimeBoundError(RuntimeError):
     pass
 
 
@@ -67,6 +74,10 @@ def int_tuple(xs, size, what, error):
 
 
 def is_prime(n):
+    """Trial division; PrimeBoundError above PRIME_BOUND, before any."""
+    if n > PRIME_BOUND:
+        raise PrimeBoundError(f"{n} exceeds the primality-test bound "
+                              f"{PRIME_BOUND}")
     if n < 2:
         return False
     return all(n % d for d in range(2, isqrt(n) + 1))

@@ -23,7 +23,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import comb, prod
+from math import comb, log2, prod
 
 from .intmat import (
     _eliminate,
@@ -40,6 +40,7 @@ from .rootdata import build_group, simple_reflections
 from .satake import GroupAlgebraElement, is_weyl_invariant
 
 ENUM_BOUND = 2 * 10 ** 5  # most left cosets one double coset may enumerate
+COUNT_BITS = 10 ** 6  # most bits of the power p**e in a coset count
 
 
 class CosetError(ValueError):
@@ -149,13 +150,18 @@ def _q_factorial(k, p):
 def coset_count(lam, p):
     """Left cosets in K p**lam K: p**<2 rho, lam> [n]!_{1/p} / prod_j
     [m_j]!_{1/p}, m_j the multiplicities of lam's parts; with [m]!_{1/p} =
-    p**-C(m, 2) [m]!_p this is an exact integer quotient."""
+    p**-C(m, 2) [m]!_p this is an exact integer quotient; EnumerationBoundError
+    before its power p**e if that has more than COUNT_BITS bits."""
     n = len(lam)
     check_size_prime(n, p)
     lam = _check_type(lam, n)
     mults = Counter(lam).values()
     e = (sum(d * x for d, x in zip(gl_delta(n), lam)) - comb(n, 2)
          + sum(comb(m, 2) for m in mults))
+    if e > COUNT_BITS / log2(p):  # e may be too large for a float
+        raise EnumerationBoundError(
+            f"the coset count of type {lam} at p={p} has the factor "
+            f"p**{e}, above the bound 2**{COUNT_BITS}")
     return (p ** e * _q_factorial(n, p)
             // prod(_q_factorial(m, p) for m in mults))
 

@@ -18,6 +18,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(*argv, **kw):
+    """``python -m heckesat`` on argv in a subprocess, this package first."""
+    path = [str(Path(heckesat.__file__).parents[1]),
+            os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, "-m", "heckesat", *argv],
+                          capture_output=True, text=True, env=env, **kw)
+
+
 def test_hecke_poly_gl2(capsys):
     code, out, _ = run(capsys, "--format", "json",
                        "hecke-poly", "--group", "GL2", "--mu", "1,0")
@@ -77,6 +86,31 @@ def test_convolve_with_a_huge_exponent_is_quick(capsys):
                                       "  100000,0: [1, 1]\n"
                                       "types: [[100000, 0], [0, 0]]\n", "")
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["verify", "frobdemo", "--p", "2305843009213693951"],
+     "error: 2305843009213693951 exceeds the primality-test bound "
+     "1000000000000\n"),
+    (["convolve", "--n", "2", "--p", "2305843009213693951",
+      "--types", "1,0", "0,0"],
+     "error: 2305843009213693951 exceeds the primality-test bound "
+     "1000000000000\n"),
+    (["verify", "satake-hom", "--n", "2", "--p", "2305843009213693951",
+      "--pairs", "1"],
+     "error: 2305843009213693951 exceeds the primality-test bound "
+     "1000000000000\n"),
+    (["convolve", "--n", "2", "--p", "2", "--types",
+      "99999999999999999999,0", "0,0"],
+     "error: the coset count of type (99999999999999999999, 0) at p=2 has "
+     "the factor p**99999999999999999998, above the bound 2**1000000\n"),
+], ids=["frobdemo-2^61-1", "convolve-2^61-1", "satake-hom-2^61-1",
+        "convolve-huge-type"])
+def test_inputs_that_once_hung_are_refused_at_once(argv, error):
+    # in a subprocess, so that a hang fails here within 10 s: trial division
+    # of 2^61 - 1, or the power 2**(10**20) of a coset count
+    proc = run_module(*argv, timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", error)
 
 
 def test_convolve_past_the_enumeration_bound_stops_at_once(capsys):
@@ -185,11 +219,7 @@ def test_frobdemo_p_not_an_odd_prime_is_usage_error(capsys, p):
     ["verify", "frobdemo", "--p", "1"],
 ], ids=["pass", "usage"])
 def test_python_dash_m_matches_main(capsys, argv):
-    path = [str(Path(heckesat.__file__).parents[1]),
-            os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run([sys.executable, "-m", "heckesat", *argv],
-                          capture_output=True, text=True, env=env)
+    proc = run_module(*argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
 
 

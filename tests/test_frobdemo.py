@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from array import array
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -466,7 +467,7 @@ def test_field_matches_schoolbook_arithmetic(p, k):
     n = f.order - 1
     powers = _powers_of_x(p, f.modulus)[:n]
     assert list(f._exp) == powers * 2
-    assert [f._log[v] for v in powers] == list(range(n))
+    assert [f._log[v] for v in powers] == list(range(n)) and f._log[0] == 0
     # zech[e] = log(1 + x^e), or -1 where 1 + x^e = 0
     for e, v in enumerate(powers):
         s = _schoolbook_add(p, k, 1, v)
@@ -475,13 +476,48 @@ def test_field_matches_schoolbook_arithmetic(p, k):
         assert f.mul(a, b) == _schoolbook_mul(p, f.modulus, a, b)
 
 
-@pytest.mark.parametrize("p,k", SMALL_FIELDS + ((2, 1), (3, 1), (7, 1)))
+# every field the frobenius bench workload builds above F_p
+BENCH_FIELDS = ((5, 3), (7, 2), (7, 3), (11, 2), (11, 3), (13, 2), (13, 3))
+
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS + ((2, 1), (3, 1), (7, 1))
+                         + BENCH_FIELDS + ((3, 4), (2, 6)))
 def test_modulus_is_first_primitive(p, k):
     modulus = FieldExt(p, k).modulus
     # lexicographic order on (a_{k-1}, ..., a_0)
     candidates = [c[::-1] for c in product(range(p), repeat=k)]
     first = next(m for m in candidates if _x_is_primitive(p, m))
     assert modulus == first
+
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS + ((2, 1), (3, 1), (7, 1)))
+def test_walk_judges_every_candidate_as_schoolbook(p, k):
+    # every monic modulus of degree k, a_0 = 0 and reducible ones included
+    n = p ** k - 1
+    generators = el._generators(p)
+    verdicts = []
+    for modulus in product(range(p), repeat=k):
+        exp, log = array("i", [0]) * (2 * n), array("i", [0]) * (n + 1)
+        primitive = el._walk(p, modulus, exp, log)
+        assert primitive == _x_is_primitive(p, modulus), modulus
+        verdicts.append(primitive)
+        # the walk wrote a prefix of the powers of x (a non-unit x may repeat
+        # one, so log keeps its last e), and never log[0]
+        powers = _powers_of_x(p, modulus)[:n]
+        steps = list(exp[:n]).index(0) if 0 in exp[:n] else n
+        assert exp[:steps] == exp[n:n + steps] == array("i", powers[:steps])
+        assert not any(exp[steps:n]) and log[0] == 0
+        assert all(powers[log[v]] == v for v in powers[:steps])
+        # the norm filter skips no primitive modulus
+        assert not primitive or (-1) ** k * modulus[0] % p in generators
+    assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 31, 97])
+def test_generators_have_order_p_minus_one(p):
+    def order(g):
+        return next(e for e in range(1, p) if pow(g, e, p) == 1)
+    assert el._generators(p) == {g for g in range(1, p) if order(g) == p - 1}
 
 
 FIELD_SIZES = [(p, k) for p in (2, 3, 5, 7, 11, 13, 97, 241)

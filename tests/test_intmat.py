@@ -6,7 +6,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from coset_reference import coset_equal, inverse_rational, snf_type_by_minors
 from heckesat.intmat import (
+    PRIME_BOUND,
     NormalFormError,
+    PrimeBoundError,
     det,
     hnf_padic,
     identity,
@@ -161,6 +163,14 @@ def test_inverse_rational():
 def test_is_prime():
     assert [n for n in range(-2, 30) if is_prime(n)] == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_is_prime_refuses_past_its_bound_before_dividing():
+    # 10**12 - 11 is the largest prime at most the bound: 10**6 divisions
+    assert is_prime(PRIME_BOUND - 11) and not is_prime(PRIME_BOUND)
+    for n in (PRIME_BOUND + 1, 2 ** 61 - 1, 10 ** 400):
+        with pytest.raises(PrimeBoundError, match="primality-test bound"):
+            is_prime(n)
 
 
 def test_p_valuation_rejects_non_primes_below_two():

@@ -101,6 +101,15 @@ def test_coset_count_hand_values(p):
     assert coset_count((3, 3, 3), p) == 1
 
 
+def test_coset_count_refuses_a_power_past_its_bit_bound():
+    # e = 10**6 - 1 at p = 2 is within COUNT_BITS, e = 10**6 + 1 is not
+    assert coset_count((10 ** 6, 0), 2) == 2 ** (10 ** 6 - 1) * 3
+    for lam, p in (((10 ** 6 + 2, 0), 2), ((10 ** 6, 0), 3),
+                   ((99999999999999999999, 0), 2), ((10 ** 400, 0), 5)):
+        with pytest.raises(EnumerationBoundError, match="2\\*\\*1000000"):
+            coset_count(lam, p)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_coset_count_matches_q_factorial_reference(p):
     # 251 types with n <= 5 and entries <= 4 at each prime
