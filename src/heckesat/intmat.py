@@ -63,12 +63,12 @@ def frozen(cls):
 
 
 def int_tuple(xs, size, what, error):
-    """xs as a tuple; raises error unless it is exactly size ints."""
+    """xs as a tuple; raises error unless it is exactly size ints, no bool."""
     try:
         xs = tuple(xs)
     except TypeError:
         raise error(f"{what} {xs!r} is not {size} ints") from None
-    if len(xs) != size or not all(isinstance(x, int) for x in xs):
+    if len(xs) != size or not all(type(x) is int for x in xs):
         raise error(f"{what} {xs} is not {size} ints")
     return xs
 
@@ -85,11 +85,11 @@ def is_prime(n):
 
 def as_matrix(rows):
     """rows as a tuple of tuples; NormalFormError unless a nonempty
-    rectangle of ints (a float or Fraction entry is refused, not cut)."""
+    rectangle of ints (a float, Fraction or bool entry is refused)."""
     m = tuple(map(tuple, rows))
     if not m or any(len(r) != len(m[0]) for r in m):
         raise NormalFormError("ragged or empty matrix")
-    if not all(isinstance(x, int) for r in m for x in r):
+    if not all(type(x) is int for r in m for x in r):
         raise NormalFormError(f"matrix {m} has an entry that is not an int")
     return m
 

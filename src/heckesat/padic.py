@@ -5,12 +5,12 @@ double cosets K g K by elementary-divisor type.  The left cosets of a
 double coset form one transvection orbit of Hermite rows, each step
 incremental: a neighbour re-eliminates at most two rows.  A product of
 double cosets is counted on those rows, (1_{KaK} * 1_{KbK})(p**nu) =
-#{x in KaK/K : x**-1 p**nu in KbK}; only an x with x**-1 p**nu integral,
-a lattice containment, gets a Smith form.  The numeric Satake transform
-enumerates no cosets: it is the Hall-Littlewood closed form v**<delta,
-lam> * P_lam(x; 1/p) of Macdonald, *Symmetric Functions and Hall
-Polynomials*, V (3.3), with P_lam from the branching rule III (5.8') and
-signs fixed in :mod:`heckesat.conventions`.
+#{x in KaK/K : x**-1 p**nu in KbK}, all nu from one solve per coset: row
+and column valuations give the ends of the type of x**-1 p**nu, which
+fix it for n <= 3.  The numeric Satake transform is the Hall-Littlewood
+closed form v**<delta, lam> * P_lam(x; 1/p) of Macdonald, *Symmetric
+Functions and Hall Polynomials*, V (3.3), with P_lam from the branching
+rule III (5.8') and signs fixed in :mod:`heckesat.conventions`.
 
 Haar measure is normalized so that K has volume 1; measures of compact
 opens are exact rationals (reciprocal coset counts).
@@ -23,7 +23,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import comb, log2, prod
+from math import comb, gcd, log2, prod
+from operator import add, sub
 
 from .intmat import (
     _eliminate,
@@ -70,11 +71,12 @@ class PCoset:
     rep: tuple
 
     def __post_init__(self):
-        check_size_prime(self.n, self.p)
-        n, p, rep = self.n, self.p, self.rep
+        n, p = int_tuple((self.n, self.p), 2, "size and prime", CosetError)
+        check_size_prime(n, p)
+        rep = self.rep
         if not (isinstance(rep, tuple) and len(rep) == n and all(
                 isinstance(r, tuple) and len(r) == n
-                and all(isinstance(x, int) for x in r) and not any(r[:i])
+                and all(type(x) is int for x in r) and not any(r[:i])
                 and r[i] > 0 and p ** p_valuation(r[i], p) == r[i]
                 and all(0 <= x < r[i] for x in r[i + 1:])
                 for i, r in enumerate(rep))):
@@ -106,7 +108,7 @@ class DoubleCosetSum:
         self.terms = {}
         for lam, c in (terms or {}).items():
             lam = _check_type(lam, self.n)
-            if not isinstance(c, (int, Fraction)):
+            if type(c) is not int and not isinstance(c, Fraction):
                 raise CosetError(f"coefficient {c!r} of type {lam} is not "
                                  f"an int or a Fraction")
             if c:
@@ -250,18 +252,27 @@ def _back_substitute(x, pnu):
     return y
 
 
-def _product_count(cosets, b, nu, p):
-    """#{x in cosets : x**-1 p**nu in K p**b K}, x given by Hermite rows.
-    As b >= 0 that needs y = x**-1 p**nu integral (p**nu Z_p**n inside
-    x Z_p**n), tested by back substitution; only then is the Smith type
-    of y, of determinant +/- p**|b|, compared with b."""
-    pnu = [p ** v for v in nu]
-    k = sum(b)
-    count = 0
+def _product_counts(cosets, s1, b, nus, p):
+    """[#{x in cosets : x**-1 p**nu in K p**b K} for nu in nus], x Hermite
+    rows of a type with largest part s1, so z = x**-1 p**s1 is integral and
+    y = x**-1 p**nu is z with column j times p**(nu_j - s1).  The type of y
+    has size |b|, least part min_j(nu_j + c_j), c_j + s1 the least valuation
+    in column j of z (negative iff y is not integral), and, as y**-1 =
+    p**-nu x, largest part max_i(nu_i - r_i), r_i that of row i of x.
+    These fix the type for n <= 3; for n >= 4 a match gets a Smith form."""
+    n, k, q = len(b), sum(b), p ** s1
+    counts = [0] * len(nus)
     for x in cosets:
-        y = _back_substitute(x, pnu)
-        count += y is not None and snf_core(y, p, k) == b
-    return count
+        z = _back_substitute(x, [q] * n)
+        r = [p_valuation(gcd(*row), p) for row in x]
+        c = [p_valuation(gcd(*col), p) - s1 for col in zip(*z)]
+        for t, nu in enumerate(nus):
+            ends = min(map(add, nu, c)), max(map(sub, nu, r))
+            if ends == (b[-1], b[0]) and (n <= 3 or snf_core(
+                    [[e * p ** v // q for e, v in zip(row, nu)] for row in z],
+                    p, k) == b):
+                counts[t] += 1
+    return counts
 
 
 def _product_types(a, b):
@@ -285,11 +296,11 @@ def convolve_double(h1: DoubleCosetSum, h2: DoubleCosetSum) -> DoubleCosetSum:
     """Hecke-algebra product, one coefficient per candidate type.
 
     For factor types a and b the candidates nu are ``_product_types(a,
-    b)``; the coefficient of nu counts cosets of the factor with fewer
-    cosets (the algebra is commutative), its central part c moved into
-    nu: the orbit of its type minus c is counted against p**(nu - c).  The
-    result is checked against the degree homomorphism: the product's coset
-    count is the product of the counts, so a lost coefficient would raise.
+    b)``; one ``_product_counts`` sweep counts them all on the factor with
+    fewer cosets (the algebra is commutative), its central part c moved
+    into nu: the orbit of its type minus c is counted against p**(nu - c).
+    The result is checked against the degree homomorphism: the product's
+    coset count is the product of the counts; a lost coefficient raises.
     """
     if (h1.n, h1.p) != (h2.n, h2.p):
         raise CosetError("size/prime mismatch")
@@ -299,8 +310,10 @@ def convolve_double(h1: DoubleCosetSum, h2: DoubleCosetSum) -> DoubleCosetSum:
         for b, cb in h2.terms.items():
             small, big = sorted((a, b), key=lambda t: coset_count(t, p))
             c, cosets = _central_orbit(small, n, p)
-            for nu in _product_types(a, b):
-                k = _product_count(cosets, big, [v - c for v in nu], p)
+            nus = _product_types(a, b)
+            counts = _product_counts(cosets, small[0] - c, big,
+                                     [[v - c for v in nu] for nu in nus], p)
+            for nu, k in zip(nus, counts):
                 out[nu] = out.get(nu, Fraction(0)) + ca * cb * k
     result = DoubleCosetSum(n, p, out)
     degree, expected = _degree(result), _degree(h1) * _degree(h2)
@@ -357,18 +370,20 @@ def satake_numeric(h: DoubleCosetSum) -> GroupAlgebraElement:
 
     The transform of 1_{K p**lam K} has coefficient v**<delta, lam> *
     [x**a] P_lam(x; 1/p) at exponent chi = -a (Macdonald V (3.3); the
-    exponent sign is convention 1), reduced modulo v**2 - p.  The output
-    is checked to be invariant under the symmetric group permuting the
-    exponents; failure signals an inconsistency and raises.
+    exponent sign is convention 1), summed in the form a + b*v, v**2 = p.
+    The output is checked to be invariant under the symmetric group
+    permuting the exponents; failure signals an inconsistency and raises.
     """
     delta = gl_delta(h.n)
     out = {}
     for lam, c in h.terms.items():
-        e = sum(d * x for d, x in zip(delta, lam))
+        # <delta, lam> >= 0 for descending lam: v**e = p**half * v**rem
+        half, rem = divmod(sum(d * x for d, x in zip(delta, lam)), 2)
+        c *= h.p ** half
         for a, k in _hall_littlewood(lam, h.p).items():
-            chi = tuple(-x for x in a)
-            out[chi] = out.get(chi, Laurent.zero()) + Laurent.v_power(e, c * k)
-    result = reduce_mod_v2(GroupAlgebraElement(h.n, out), h.p)
+            out.setdefault(tuple(-x for x in a), [0, 0])[rem] += c * k
+    result = GroupAlgebraElement(h.n, {chi: Laurent({0: a, 1: b})
+                                       for chi, (a, b) in out.items()})
     if not is_weyl_invariant(_gl_reflections(h.n), result.terms):
         raise RuntimeError("numeric Satake image is not Weyl invariant; "
                            "convention inconsistency")

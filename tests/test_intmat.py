@@ -12,6 +12,7 @@ from heckesat.intmat import (
     det,
     hnf_padic,
     identity,
+    int_tuple,
     is_prime,
     mat_mul,
     p_valuation,
@@ -90,6 +91,18 @@ def test_snf_rejects_bad_input():
 def test_normal_forms_refuse_non_int_entries(form, m):
     with pytest.raises(NormalFormError, match="not an int"):
         form(m, 2)
+
+
+@pytest.mark.parametrize("form", [hnf_padic, snf_type])
+def test_normal_forms_refuse_bool_entries(form):
+    with pytest.raises(NormalFormError, match="not an int"):
+        form([[True, 0], [0, 2]], 2)
+
+
+def test_int_tuple_refuses_bools():
+    assert int_tuple([1, 0], 2, "pair", NormalFormError) == (1, 0)
+    with pytest.raises(NormalFormError, match="not 2 ints"):
+        int_tuple((1, False), 2, "pair", NormalFormError)
 
 
 def test_coset_equal_still_takes_fractions():

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import random
 import time
 from fractions import Fraction
@@ -331,34 +332,86 @@ def test_cores_match_the_public_forms_on_every_coset(lam, p):
         assert snf_core(m, p, k) == snf_type(m, p) == lam
 
 
-def test_products_and_orbits_run_no_validation_and_filter_first(monkeypatch):
-    # the orbit, the product count and PCoset.snf take the valuation they
-    # know: no as_matrix and no determinant, and a Smith form only for a
-    # coset x with x**-1 p**nu integral
+def _integral(y):
+    if all(e.denominator == 1 for row in y for e in row):
+        return tuple(tuple(int(e) for e in row) for row in y)
+    return None
+
+
+@pytest.mark.parametrize("a,b,p", [
+    ((1, 0), (1, 0), 2), ((2, 0), (1, 1), 3), ((2, 1, 0), (1, 1, 0), 3),
+    ((2, 1, 0), (2, 1, 0), 2), ((2, 1, 0, 0), (1, 1, 0, 0), 2),
+    ((1, 1, 0, 0), (2, 1, 1, 0), 2), ((1, 1, 0, 0, 0), (2, 1, 0, 0, 0), 2),
+], ids=lambda t: "".join(map(str, t)) if isinstance(t, tuple) else f"p{t}")
+def test_product_counts_match_brute_force_with_smith_forms_on_matching_ends(
+        monkeypatch, a, b, p):
+    # every candidate nu is counted as #{x : x**-1 p**nu in K p**b K} by the
+    # exact inverse and the minors; the orbit, the counts and PCoset.snf
+    # take the valuation they know (no as_matrix and no determinant), and a
+    # Smith form runs only for n >= 4, on each y whose ends are b_1 and b_n
+    n = len(a)
+    pd._coset_orbit.cache_clear()
+    rows = [x.rep for x in decompose_double_coset(a, n, p)]
+    nus = pd._product_types(a, b)
+    expected, matching = [0] * len(nus), []
+    for x in rows:
+        for t, nu in enumerate(nus):
+            y = _integral(mat_mul(inverse_rational(x), [
+                [p ** v * (i == j) for j, v in enumerate(nu)]
+                for i in range(n)]))
+            if y is None:
+                continue
+            s = snf_type_by_minors(y, p)
+            expected[t] += s == b
+            if (s[0], s[-1]) == (b[0], b[-1]):
+                matching.append(y)
+
     def forbidden(*args):
         raise AssertionError("validation on a known valuation")
-    for name in ("as_matrix", "det"):
-        monkeypatch.setattr(intmat, name, forbidden)
     smith = []
-    monkeypatch.setattr(pd, "snf_core",
-                        lambda y, p, k: smith.append(y) or snf_core(y, p, k))
-    pd._coset_orbit.cache_clear()
-    a, b, p = (2, 1, 0), (1, 1, 0), 3
-    cosets = decompose_double_coset(a, 3, p)
-    rows = [x.rep for x in cosets]
-    for nu in ((3, 2, 0), (3, 1, 1), (2, 2, 1), (4, 1, 0)):
+    with monkeypatch.context() as m:
+        for name in ("as_matrix", "det"):
+            m.setattr(intmat, name, forbidden)
+        m.setattr(pd, "snf_core",
+                  lambda y, p, k: smith.append(y) or snf_core(y, p, k))
+        pd._coset_orbit.cache_clear()
+        cosets = decompose_double_coset(a, n, p)
+        assert [x.rep for x in cosets] == rows
+        assert all(g.snf() == a for g in cosets)
         smith.clear()
-        pnu = [[p ** v * (i == j) for j, v in enumerate(nu)]
-               for i in range(3)]
-        contained = [mat_mul(inverse_rational(x), pnu) for x in rows]
-        contained = [tuple(tuple(int(e) for e in row) for row in y)
-                     for y in contained
-                     if all(e.denominator == 1 for row in y for e in row)]
-        count = pd._product_count(rows, b, nu, p)
-        assert [tuple(map(tuple, y)) for y in smith] == contained
-        assert count == sum(snf_type_by_minors(y, p) == b for y in contained)
-    assert all(g.snf() == a for g in cosets)
+        assert pd._product_counts(rows, a[0], b, nus, p) == expected
+    assert [tuple(map(tuple, y)) for y in smith] == (matching if n >= 4
+                                                     else [])
+    assert sum(expected) and (n <= 3 or matching)
     pd._coset_orbit.cache_clear()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_solve_gives_both_ends_of_every_type(data):
+    # z = x**-1 p**s1 with s1 the largest part of x's type; with r_i the
+    # least valuation in row i of x and c_j that in column j of z, less s1,
+    # y = x**-1 p**nu is integral iff min_j(nu_j + c_j) >= 0, and then its
+    # type runs from max_i(nu_i - r_i) down to min_j(nu_j + c_j)
+    n = data.draw(st.integers(1, 5))
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    exps = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    x = tuple(tuple(p ** e if j == i else data.draw(
+        st.integers(0, p ** e - 1)) if j > i else 0 for j in range(n))
+        for i, e in enumerate(exps))
+    nu = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    s1 = snf_type(x, p)[0]
+    z = pd._back_substitute(x, [p ** s1] * n)
+    r = [min(intmat.p_valuation(e, p) for e in row if e) for row in x]
+    c = [min(intmat.p_valuation(e, p) for e in col if e) - s1
+         for col in zip(*z)]
+    low = min(v + cj for v, cj in zip(nu, c))
+    y = pd._back_substitute(x, [p ** v for v in nu])
+    assert (low < 0) == (y is None)
+    if y is not None:
+        s = snf_type_by_minors(y, p)
+        assert (s[0], s[-1]) == (max(v - ri for v, ri in zip(nu, r)), low)
+        assert sum(s) == sum(nu) - sum(exps)
 
 
 @settings(max_examples=400, deadline=None)
@@ -501,6 +554,48 @@ def test_satake_matches_coset_expansion(p):
     assert satake_numeric(h) == satake_by_expansion(h)
 
 
+def _satake_by_v_powers(h):
+    # each term a v-power Laurent, summed per exponent, then reduce_mod_v2
+    delta, out = pd.gl_delta(h.n), {}
+    for lam, c in h.terms.items():
+        e = sum(d * x for d, x in zip(delta, lam))
+        for a, k in pd._hall_littlewood(lam, h.p).items():
+            chi = tuple(-x for x in a)
+            out[chi] = out.get(chi, Laurent.zero()) + Laurent.v_power(e, c * k)
+    return reduce_mod_v2(G(h.n, out), h.p)
+
+
+def _scalar_types(x):
+    return {chi: {e: type(c) for e, c in lau.coeffs.items()}
+            for chi, lau in x.terms.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_satake_numeric_keeps_the_exact_form_of_the_v_power_sum(data):
+    # equal terms, and per exponent of v the same int or Fraction, which is
+    # what the JSON output writes
+    n = data.draw(st.integers(1, 5))
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    lams = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(
+        lambda t: tuple(sorted(t, reverse=True)))
+    coeffs = st.integers(-4, 4) | st.fractions(-3, 3, max_denominator=6)
+    h = DoubleCosetSum(n, p, data.draw(
+        st.dictionaries(lams, coeffs, min_size=1, max_size=4)))
+    new, old = satake_numeric(h), _satake_by_v_powers(h)
+    assert new == old
+    assert _scalar_types(new) == _scalar_types(old)
+
+
+def test_satake_numeric_keeps_ints_and_fractions_apart():
+    h = DoubleCosetSum(3, 2, {(2, 1, 0): Fraction(1, 3), (1, 0, 0): 2})
+    kinds = {t for chi in _scalar_types(satake_numeric(h)).values()
+             for t in chi.values()}
+    assert kinds == {int, Fraction}
+    assert _scalar_types(satake_numeric(h)) == \
+        _scalar_types(_satake_by_v_powers(h))
+
+
 @pytest.mark.parametrize("n,hi", [(2, 4), (3, 3), (4, 2)])
 @pytest.mark.parametrize("p", [2, 3])
 def test_hall_littlewood_matches_symmetrization(n, hi, p):
@@ -567,6 +662,29 @@ def test_double_coset_json_roundtrip_property(h):
         "decompose-type", "decompose-n", "count-type"])
 def test_non_int_sizes_primes_and_types_are_refused(build):
     with pytest.raises(CosetError, match="not 2 ints"):
+        build()
+
+
+def _bool_json(type_, coeff):
+    return pd.double_coset_sum_from_json(json.dumps(
+        {"n": 2, "p": 2, "terms": [{"type": type_, "coeff": coeff}]}))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: pd.double_coset_sum_to_json(DoubleCosetSum(2, 2, {(True, 0): 1})),
+    lambda: DoubleCosetSum(2, 2, {(1, 0): True}),
+    lambda: DoubleCosetSum(True, 2),
+    lambda: PCoset(True, 2, ((1,),)),
+    lambda: PCoset(1, 2, ((True,),)),
+    lambda: coset_count((True, False), 2),
+    lambda: decompose_double_coset((1, False), 2, 2),
+    lambda: _bool_json([True, 0], [1, 1]),
+    lambda: _bool_json([1, 0], [True, 1]),
+], ids=["sum-type", "sum-coeff", "sum-n", "coset-n", "coset-rep",
+        "count-type", "decompose-type", "json-type", "json-coeff"])
+def test_bools_are_refused_where_ints_are_asked(build):
+    # a bool would pass as 0 or 1 and be written to JSON as true or false
+    with pytest.raises(CosetError):
         build()
 
 
