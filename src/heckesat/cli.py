@@ -231,10 +231,11 @@ def _suite_frobdemo(args):
     k_max = 3 if p ** 3 <= elliptic.COUNT_BOUND else 2
     checks = {}
     for curve in curves:
+        a_p = elliptic.frobenius_data(curve, 1).a_p  # one count for two checks
         checks[f"y^2=x^3+{curve.a}x+{curve.b} over F_{p}"] = (
             elliptic.verify_count_consistency(curve, k_max)
-            and elliptic.verify_frobenius_annihilation(curve, 2)
-            and elliptic.satake_link(curve)[0])
+            and elliptic.verify_frobenius_annihilation(curve, 2, a_p)
+            and elliptic.satake_link(curve, a_p)[0])
     return all(checks.values()), checks
 
 

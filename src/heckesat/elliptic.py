@@ -356,9 +356,8 @@ def verify_frobenius_annihilation(curve: EllipticCurve, k=2,
     pi^2(P) = P (always so for k <= 2, but tested), else one chord.
     """
     field = field_ext(curve.p, k)
-    if a_p is None:
-        a_p = frobenius_data(curve, 1).a_p
-    (a_p,) = int_tuple((a_p,), 1, "a_p", CurveError)
+    (a_p,) = int_tuple((frobenius_data(curve, 1).a_p if a_p is None else a_p,),
+                       1, "a_p", CurveError)
     p, frob = curve.p, field.frobenius
     covered = {None}
     for R in enumerate_points(field, curve):
@@ -386,19 +385,20 @@ def _gl2_hecke_polynomial():
     return rd, hecke_polynomial(rd, (1, 0))
 
 
-def satake_link(curve: EllipticCurve):
-    """Specialize the degree-2 Hecke polynomial at (a_p, p).
+def satake_link(curve: EllipticCurve, a_p=None):
+    """Specialize the degree-2 Hecke polynomial at a_p (counted if None), p.
 
     Returns (ok, coefficients) where ok is True iff the specialized
-    polynomial is exactly t**2 - a_p t + p.
+    polynomial is exactly t**2 - a_p t + p and a_p**2 <= 4p (Hasse).
     """
     p = curve.p
-    a_p = frobenius_data(curve, 1).a_p
+    (a_p,) = int_tuple((frobenius_data(curve, 1).a_p if a_p is None else a_p,),
+                       1, "a_p", CurveError)
     rd, H = _gl2_hecke_polynomial()
     s = SatakeParameterSymmetric(
         {(1, 0): Laurent.v_power(1, Fraction(a_p, p)), (1, 1): 1}, p)
     coeffs = specialize(H, s, rd)
-    ok = coeffs == [Fraction(p), Fraction(-a_p), Fraction(1)]
+    ok = coeffs == [p, -a_p, 1] and a_p * a_p <= 4 * p
     return ok, coeffs
 
 

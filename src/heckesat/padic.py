@@ -7,10 +7,12 @@ incremental: a neighbour re-eliminates at most two rows.  A product of
 double cosets is counted on those rows, (1_{KaK} * 1_{KbK})(p**nu) =
 #{x in KaK/K : x**-1 p**nu in KbK}, all nu from one solve per coset: row
 and column valuations give the ends of the type of x**-1 p**nu, which
-fix it for n <= 3.  The numeric Satake transform is the Hall-Littlewood
-closed form v**<delta, lam> * P_lam(x; 1/p) of Macdonald, *Symmetric
-Functions and Hall Polynomials*, V (3.3), with P_lam from the branching
-rule III (5.8') and signs fixed in :mod:`heckesat.conventions`.
+fix it for n <= 3; closed-form coset counts are kept per (type, p), their
+bounds read on each call.  The numeric Satake transform is the
+Hall-Littlewood closed form v**<delta, lam> * P_lam(x; 1/p) of Macdonald,
+*Symmetric Functions and Hall Polynomials*, V (3.3), with P_lam in ints
+over one power of p from the branching rule III (5.8') and signs fixed in
+:mod:`heckesat.conventions`.
 
 Haar measure is normalized so that K has volume 1; measures of compact
 opens are exact rationals (reciprocal coset counts).
@@ -23,7 +25,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import comb, gcd, log2, prod
+from math import comb, gcd, lcm, log2, prod
 from operator import add, sub
 
 from .intmat import (
@@ -145,10 +147,6 @@ def gl_delta(n):
     return tuple(n - 1 - 2 * i for i in range(n))
 
 
-def _q_factorial(k, p):
-    return prod((p ** i - 1) // (p - 1) for i in range(1, k + 1))
-
-
 def coset_count(lam, p):
     """Left cosets in K p**lam K: p**<2 rho, lam> [n]!_{1/p} / prod_j
     [m_j]!_{1/p}, m_j the multiplicities of lam's parts; with [m]!_{1/p} =
@@ -156,16 +154,27 @@ def coset_count(lam, p):
     before its power p**e if that has more than COUNT_BITS bits."""
     n = len(lam)
     check_size_prime(n, p)
-    lam = _check_type(lam, n)
-    mults = Counter(lam).values()
+    return _coset_count(_check_type(lam, n), p)
+
+
+@cache
+def _count_form(lam, p):
+    """(e, [n]!_p / prod_j [m_j]!_p) of ``coset_count``, p - 1 cancelled."""
+    n, mults = len(lam), Counter(lam).values()
     e = (sum(d * x for d, x in zip(gl_delta(n), lam)) - comb(n, 2)
          + sum(comb(m, 2) for m in mults))
+    return e, (prod(p ** i - 1 for i in range(1, n + 1))
+               // prod(p ** i - 1 for m in mults for i in range(1, m + 1)))
+
+
+def _coset_count(lam, p):
+    """``coset_count`` of a checked type and prime; COUNT_BITS read here."""
+    e, quotient = _count_form(lam, p)
     if e > COUNT_BITS / log2(p):  # e may be too large for a float
         raise EnumerationBoundError(
             f"the coset count of type {lam} at p={p} has the factor "
             f"p**{e}, above the bound 2**{COUNT_BITS}")
-    return (p ** e * _q_factorial(n, p)
-            // prod(_q_factorial(m, p) for m in mults))
+    return p ** e * quotient
 
 
 def _hermite_step(rep, i, j, p, mod):
@@ -212,7 +221,7 @@ def _central_orbit(lam, n, p):
     EnumerationBoundError before any enumeration."""
     c = lam[-1]
     lam0 = tuple(x - c for x in lam)
-    count = coset_count(lam0, p)
+    count = _coset_count(lam0, p)
     if count > ENUM_BOUND:
         raise EnumerationBoundError(
             f"enumeration of {count} cosets for type {lam} at p={p} "
@@ -225,15 +234,15 @@ def decompose_double_coset(lam, n, p):
     lam: p**c times the orbit of p**lam0 K.  More than ENUM_BOUND cosets
     raise EnumerationBoundError (see ``_central_orbit``)."""
     n, p = int_tuple((n, p), 2, "size and prime", CosetError)
-    lam = _check_type(lam, n)
-    c, reps = _central_orbit(lam, n, p)
+    check_size_prime(n, p)
+    c, reps = _central_orbit(_check_type(lam, n), n, p)
     q = p ** c
     return [PCoset(n, p, tuple(tuple(q * x for x in row) for row in rep))
             for rep in reps]
 
 
 def _degree(h: DoubleCosetSum):
-    return sum(c * coset_count(lam, h.p) for lam, c in h.terms.items())
+    return sum(c * _coset_count(lam, h.p) for lam, c in h.terms.items())
 
 
 def _back_substitute(x, pnu):
@@ -308,7 +317,7 @@ def convolve_double(h1: DoubleCosetSum, h2: DoubleCosetSum) -> DoubleCosetSum:
     out = {}
     for a, ca in h1.terms.items():
         for b, cb in h2.terms.items():
-            small, big = sorted((a, b), key=lambda t: coset_count(t, p))
+            small, big = sorted((a, b), key=lambda t: _coset_count(t, p))
             c, cosets = _central_orbit(small, n, p)
             nus = _product_types(a, b)
             counts = _product_counts(cosets, small[0] - c, big,
@@ -341,28 +350,32 @@ def _gl_reflections(n):
 
 @cache
 def _hall_littlewood(lam, p):
-    """P_lam(x_1, ..., x_n; 1/p) as {exponent of x: coefficient}.
+    """P_lam(x_1, ..., x_n; 1/p) = sum N x**a / p**D as (D, {a: int N}).
 
     Branching rule (Macdonald III (5.8'), (5.11')): P_lam is the sum over
     kappa with n - 1 parts, lam_{j+1} <= kappa_j <= lam_j, of psi_{lam/kappa}
     x_n**(|lam| - |kappa|) P_kappa(x_1, ..., x_{n-1}), where psi_{lam/kappa}
-    is the product of 1 - t**m_j(kappa) over the j >= 1 such that
-    lam/kappa has a box in column j + 1 and none in column j.
+    is the product of 1 - p**-m = (p**m - 1) / p**m, m = m_j(kappa), over
+    the j >= 1 such that lam/kappa has a box in column j + 1 and none in
+    column j.  D is the largest sum of those m plus D_kappa.
     """
     if not lam:
-        return {(): Fraction(1)}
-    t, out = Fraction(1, p), {}
-    bounds = zip(lam[1:], lam)
-    for kappa in product(*(range(lo, hi + 1) for lo, hi in bounds)):
+        return 0, {(): 1}
+    terms = []
+    for kappa in product(*(range(lo, hi + 1) for lo, hi in zip(lam[1:], lam))):
         cols = {c for hi, lo in zip(lam, kappa + (0,))
                 for c in range(lo + 1, hi + 1)}
-        mult = Counter(kappa)
-        psi = prod(1 - t ** mult[j] for j in range(1, lam[0])
-                   if j + 1 in cols and j not in cols)
-        for x, c in _hall_littlewood(kappa, p).items():
-            x += (sum(lam) - sum(kappa),)
+        ms = [kappa.count(j) for j in range(1, lam[0])
+              if j + 1 in cols and j not in cols]
+        d, sub = _hall_littlewood(kappa, p)
+        terms.append((sum(ms) + d, prod(p ** m - 1 for m in ms), kappa, sub))
+    top, out = max(t[0] for t in terms), {}
+    for d, psi, kappa, sub in terms:
+        psi, last = psi * p ** (top - d), (sum(lam) - sum(kappa),)
+        for x, c in sub.items():
+            x += last
             out[x] = out.get(x, 0) + psi * c
-    return {x: c for x, c in out.items() if c}
+    return top, out
 
 
 def satake_numeric(h: DoubleCosetSum) -> GroupAlgebraElement:
@@ -370,20 +383,29 @@ def satake_numeric(h: DoubleCosetSum) -> GroupAlgebraElement:
 
     The transform of 1_{K p**lam K} has coefficient v**<delta, lam> *
     [x**a] P_lam(x; 1/p) at exponent chi = -a (Macdonald V (3.3); the
-    exponent sign is convention 1), summed in the form a + b*v, v**2 = p.
-    The output is checked to be invariant under the symmetric group
-    permuting the exponents; failure signals an inconsistency and raises.
+    exponent sign is convention 1), summed in the form a + b*v, v**2 = p,
+    in ints over one denominator: the lcm of the coefficients' denominators
+    times p**-E, E <= 0 the least p-power of a term.  The output is checked
+    to be invariant under the symmetric group permuting the exponents;
+    failure signals an inconsistency and raises.
     """
-    delta = gl_delta(h.n)
-    out = {}
+    delta, p, terms = gl_delta(h.n), h.p, []
     for lam, c in h.terms.items():
         # <delta, lam> >= 0 for descending lam: v**e = p**half * v**rem
         half, rem = divmod(sum(d * x for d, x in zip(delta, lam)), 2)
-        c *= h.p ** half
-        for a, k in _hall_littlewood(lam, h.p).items():
-            out.setdefault(tuple(-x for x in a), [0, 0])[rem] += c * k
-    result = GroupAlgebraElement(h.n, {chi: Laurent({0: a, 1: b})
-                                       for chi, (a, b) in out.items()})
+        d, poly = _hall_littlewood(lam, p)
+        terms.append((half - d, rem, c, poly))
+    low = min([0] + [t[0] for t in terms])
+    lcd, out = lcm(*(c.denominator for c in h.terms.values())), {}
+    for e, rem, c, poly in terms:
+        s = c.numerator * (lcd // c.denominator) * p ** (e - low)
+        for a, k in poly.items():
+            out.setdefault(a, [0, 0])[rem] += s * k
+    if (den := lcd * p ** -low) > 1:
+        out = {a: [Fraction(s, den) for s in ss] for a, ss in out.items()}
+    result = GroupAlgebraElement._trusted(h.n, {
+        tuple(-x for x in a): Laurent(dict(enumerate(ss)))
+        for a, ss in out.items()})
     if not is_weyl_invariant(_gl_reflections(h.n), result.terms):
         raise RuntimeError("numeric Satake image is not Weyl invariant; "
                            "convention inconsistency")

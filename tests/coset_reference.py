@@ -1,7 +1,8 @@
 """Test references: left-coset expansion of the spherical Hecke algebra of
 GL_n(Q_p), elementary divisors from determinantal divisors, double coset
-sizes from q-factorials at q = 1/p, a Fraction Gauss-Jordan inverse with
-the coset test built on it, and the classical Weyl group orders.
+sizes from q-factorials at q = 1/p, Hall-Littlewood polynomials by the
+branching rule in Fractions of t = 1/p, a Fraction Gauss-Jordan inverse
+with the coset test built on it, and the classical Weyl group orders.
 
 The first three are independent of the algorithms in
 :mod:`heckesat.padic` and :mod:`heckesat.intmat`.  ``inverse_rational``
@@ -17,6 +18,7 @@ exponent chi by v**<delta, chi>.
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from math import factorial, gcd, lcm, prod
 
@@ -119,6 +121,32 @@ def coset_count_by_q_factorials(lam, p):
         count /= _q_factorial(m, q)
     assert count.denominator == 1
     return count.numerator
+
+
+@cache
+def hall_littlewood_by_fractions(lam, p):
+    """P_lam(x_1, ..., x_n; 1/p) as {exponent of x: coefficient}.
+
+    Branching rule (Macdonald III (5.8'), (5.11')): P_lam is the sum over
+    kappa with n - 1 parts, lam_{j+1} <= kappa_j <= lam_j, of psi_{lam/kappa}
+    x_n**(|lam| - |kappa|) P_kappa(x_1, ..., x_{n-1}), where psi_{lam/kappa}
+    is the product of 1 - t**m_j(kappa) over the j >= 1 such that
+    lam/kappa has a box in column j + 1 and none in column j.
+    """
+    if not lam:
+        return {(): Fraction(1)}
+    t, out = Fraction(1, p), {}
+    bounds = zip(lam[1:], lam)
+    for kappa in product(*(range(lo, hi + 1) for lo, hi in bounds)):
+        cols = {c for hi, lo in zip(lam, kappa + (0,))
+                for c in range(lo + 1, hi + 1)}
+        mult = Counter(kappa)
+        psi = prod(1 - t ** mult[j] for j in range(1, lam[0])
+                   if j + 1 in cols and j not in cols)
+        for x, c in hall_littlewood_by_fractions(kappa, p).items():
+            x += (sum(lam) - sum(kappa),)
+            out[x] = out.get(x, 0) + psi * c
+    return {x: c for x, c in out.items() if c}
 
 
 def inverse_rational(m):

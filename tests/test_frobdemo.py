@@ -346,6 +346,26 @@ def test_satake_link():
     assert coeffs[1] == 0  # supersingular: t^2 + p
 
 
+def test_satake_link_takes_a_given_a_p_without_a_count(monkeypatch):
+    curve = EllipticCurve(5, 1, 1)
+    monkeypatch.setattr(el, "count_points", None)  # any count would raise
+    assert satake_link(curve, -3) == (True, [5, 3, 1])
+    # -5 is no trace of Frobenius: 25 > 4 * 5, so the roots are not Weil
+    assert satake_link(curve, -5) == (False, [5, 5, 1])
+    with pytest.raises(CurveError, match="a_p"):
+        satake_link(curve, -3.0)
+
+
+def test_frobdemo_counts_each_curve_four_times(monkeypatch, capsys):
+    calls, count = [], el.count_points
+    monkeypatch.setattr(el, "count_points",
+                        lambda curve, k=1: calls.append(k) or count(curve, k))
+    assert main(["verify", "frobdemo", "--p", "7", "--exhaustive"]) == 0
+    # a_p once, then N_1, N_2, N_3 in the count check
+    assert sorted(calls) == sorted([1, 1, 2, 3] * len(all_curves(7)))
+    assert "passed: True" in capsys.readouterr().out
+
+
 def test_export_point_set():
     curve = EllipticCurve(5, 1, 1)
     ps1 = export_point_set(curve, 1)

@@ -38,6 +38,7 @@ from coset_reference import (
     convolve_left,
     coset_count_by_q_factorials,
     expand,
+    hall_littlewood_by_fractions,
     inverse_rational,
     satake_by_expansion,
     sigma_to_torus,
@@ -206,6 +207,28 @@ def test_enumeration_bound(monkeypatch):
     monkeypatch.setattr(pd, "ENUM_BOUND", 10)
     with pytest.raises(EnumerationBoundError):
         decompose_double_coset((9, 0), 2, 2)
+
+
+def test_bounds_are_read_when_a_product_runs(monkeypatch):
+    # the counts of the first product are kept; the bounds are not: the
+    # orbit of (1, 0, 0) has 7 cosets, and (3, 1, 0) has p**3 in its count
+    h1, h2 = (DoubleCosetSum.basis(t, 3, 2) for t in ((2, 1, 0), (1, 0, 0)))
+    assert convolve_double(h1, h2).terms
+    monkeypatch.setattr(pd, "ENUM_BOUND", coset_count((1, 0, 0), 2) - 1)
+    with pytest.raises(EnumerationBoundError, match="exceeds the bound"):
+        convolve_double(h1, h2)
+    monkeypatch.setattr(pd, "ENUM_BOUND", 2 * 10 ** 5)
+    monkeypatch.setattr(pd, "COUNT_BITS", 2)
+    with pytest.raises(EnumerationBoundError, match="above the bound"):
+        convolve_double(h1, h2)
+
+
+@pytest.mark.parametrize("lam,p", [
+    ((True, 0), 2), ((0, 1), 2), ((1, -1), 2), ((1, 0), 4), ((1, 0), 1),
+], ids=["bool", "unsorted", "negative", "composite-p", "p-1"])
+def test_coset_count_refuses_bad_types_and_primes(lam, p):
+    with pytest.raises(CosetError):
+        coset_count(lam, p)
 
 
 def test_convolution_enumerates_only_the_smaller_factor(monkeypatch):
@@ -559,7 +582,7 @@ def _satake_by_v_powers(h):
     delta, out = pd.gl_delta(h.n), {}
     for lam, c in h.terms.items():
         e = sum(d * x for d, x in zip(delta, lam))
-        for a, k in pd._hall_littlewood(lam, h.p).items():
+        for a, k in hall_littlewood_by_fractions(lam, h.p).items():
             chi = tuple(-x for x in a)
             out[chi] = out.get(chi, Laurent.zero()) + Laurent.v_power(e, c * k)
     return reduce_mod_v2(G(h.n, out), h.p)
@@ -601,7 +624,27 @@ def test_satake_numeric_keeps_ints_and_fractions_apart():
 def test_hall_littlewood_matches_symmetrization(n, hi, p):
     oracle = hall.HallLittlewood(n, Fraction(1, p))
     for lam in types(n, hi):
-        assert pd._hall_littlewood(lam, p) == oracle.P(lam), lam
+        d, poly = pd._hall_littlewood(lam, p)
+        assert {a: Fraction(k, p ** d) for a, k in poly.items()} == \
+            oracle.P(lam), lam
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_hall_littlewood_in_scaled_ints_matches_the_fraction_rule(data):
+    n = data.draw(st.integers(1, 5))
+    lam = tuple(sorted(data.draw(st.lists(
+        st.integers(0, 3), min_size=n, max_size=n)), reverse=True))
+    p = data.draw(st.sampled_from((2, 3, 5, 7)))
+    d, poly = pd._hall_littlewood(lam, p)
+    assert type(d) is int and d >= 0
+    assert all(type(k) is int for k in poly.values())
+    assert {a: Fraction(k, p ** d) for a, k in poly.items()} == \
+        hall_littlewood_by_fractions(lam, p)
+
+
+def test_satake_numeric_of_the_zero_sum_is_zero():
+    assert satake_numeric(DoubleCosetSum(3, 2)) == G.zero(3)
 
 
 @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2), (3, 3)])
