@@ -356,8 +356,9 @@ def verify_frobenius_annihilation(curve: EllipticCurve, k=2,
     pi^2(P) = P (always so for k <= 2, but tested), else one chord.
     """
     field = field_ext(curve.p, k)
-    (a_p,) = int_tuple((frobenius_data(curve, 1).a_p if a_p is None else a_p,),
-                       1, "a_p", CurveError)
+    if a_p is None:
+        a_p = frobenius_data(curve, 1).a_p
+    (a_p,) = int_tuple((a_p,), 1, "a_p", CurveError)
     p, frob = curve.p, field.frobenius
     covered = {None}
     for R in enumerate_points(field, curve):
@@ -392,8 +393,9 @@ def satake_link(curve: EllipticCurve, a_p=None):
     polynomial is exactly t**2 - a_p t + p and a_p**2 <= 4p (Hasse).
     """
     p = curve.p
-    (a_p,) = int_tuple((frobenius_data(curve, 1).a_p if a_p is None else a_p,),
-                       1, "a_p", CurveError)
+    if a_p is None:
+        a_p = frobenius_data(curve, 1).a_p
+    (a_p,) = int_tuple((a_p,), 1, "a_p", CurveError)
     rd, H = _gl2_hecke_polynomial()
     s = SatakeParameterSymmetric(
         {(1, 0): Laurent.v_power(1, Fraction(a_p, p)), (1, 1): 1}, p)
