@@ -224,9 +224,10 @@ def test_bounds_are_read_when_a_product_runs(monkeypatch):
 
 
 @pytest.mark.parametrize("lam,p", [
-    ((True, 0), 2), ((0, 1), 2), ((1, -1), 2), ((1, 0), 4), ((1, 0), 1),
-], ids=["bool", "unsorted", "negative", "composite-p", "p-1"])
+    ((0, 1), 2), ((1, -1), 2), ((1, 0), 4), ((1, 0), 1),
+], ids=["unsorted", "negative", "composite-p", "p-1"])
 def test_coset_count_refuses_bad_types_and_primes(lam, p):
+    # a bool entry: test_bools_are_refused_where_ints_are_asked[count-type]
     with pytest.raises(CosetError):
         coset_count(lam, p)
 
